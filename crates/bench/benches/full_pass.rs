@@ -42,7 +42,7 @@ fn bench_techniques(c: &mut Criterion) {
         group.bench_function(format!("fmsa-t{t}"), |b| {
             b.iter_batched(
                 milc_module,
-                |mut m| run_fmsa(&mut m, &Config::new().threshold(t).fmsa_options()),
+                |mut m| run_fmsa(&mut m, &Config::new().threshold(t)),
                 criterion::BatchSize::SmallInput,
             );
         });
@@ -50,7 +50,7 @@ fn bench_techniques(c: &mut Criterion) {
     group.bench_function("fmsa-oracle", |b| {
         b.iter_batched(
             libquantum_module, // oracle is quadratic; use the small module
-            |mut m| run_fmsa(&mut m, &Config::new().oracle(true).fmsa_options()),
+            |mut m| run_fmsa(&mut m, &Config::new().oracle(true)),
             criterion::BatchSize::SmallInput,
         );
     });

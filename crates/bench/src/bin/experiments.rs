@@ -122,7 +122,7 @@ fn main() {
     println!(
         "experiments {cmd}: threads={} available, alignment=needleman-wunsch, \
          search per section header / JSON record{}{}",
-        Config::new().pipeline_options().resolved_threads(),
+        Config::new().parallel(0).resolved_threads(),
         if fast { ", --fast" } else { "" },
         if oracle { ", --oracle" } else { "" },
     );
@@ -471,7 +471,7 @@ fn search_scalability(fast: bool, report: &mut Report) {
             let mut m = base.clone();
             let cfg = Config::new().threshold(5).search(strategy);
             let t0 = std::time::Instant::now();
-            let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+            let stats = run_fmsa(&mut m, &cfg);
             let total = t0.elapsed();
             rank_times.push(stats.timers.ranking.as_secs_f64());
             reductions.push(stats.reduction_percent());
@@ -521,7 +521,7 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
     use fmsa_core::SearchStrategy;
     use fmsa_ir::printer::print_module;
     use fmsa_workloads::{clone_swarm_module, SwarmConfig};
-    let auto = Config::new().pipeline_options().resolved_threads();
+    let auto = Config::new().parallel(0).resolved_threads();
     let spec_depth_label = if overrides.spec_depth == usize::MAX {
         "all".to_owned()
     } else {
@@ -542,7 +542,7 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
         let cfg = overrides.clone().threshold(5).search(SearchStrategy::lsh());
         let mut m_seq = base.clone();
         let t0 = std::time::Instant::now();
-        let seq = run_fmsa(&mut m_seq, &cfg.fmsa_options());
+        let seq = run_fmsa(&mut m_seq, &cfg);
         let t_seq = t0.elapsed();
         let seq_text = print_module(&m_seq);
         println!(
@@ -580,7 +580,7 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
             let mut m_par = base.clone();
             let pcfg = cfg.clone().parallel(threads);
             let t0 = std::time::Instant::now();
-            let par = run_fmsa_pipeline(&mut m_par, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            let par = run_fmsa_pipeline(&mut m_par, &pcfg);
             let t_par = t0.elapsed();
             let identical = print_module(&m_par) == seq_text;
             let speedup = t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9);
@@ -703,7 +703,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
     let chunk = chunk.unwrap_or(if fast { 2_000 } else { 10_000 });
     let seed = 0x5ca1_e001u64;
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let auto = Config::new().pipeline_options().resolved_threads();
+    let auto = Config::new().parallel(0).resolved_threads();
     let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
     println!(
         "\n== Million-function scale: streamed corpus of {total} functions in \
@@ -723,7 +723,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
     for spec in stream_chunks(total, chunk, seed) {
         let mut m = spec.materialize();
         funcs_in += m.func_count();
-        let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let stats = run_fmsa_pipeline(&mut m, &pcfg);
         funcs_out += m.func_count();
         merges += stats.merges;
         if let Some(p) = stats.pipeline {
@@ -798,7 +798,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
         .iter()
         .map(|base| {
             let mut m = base.clone();
-            run_fmsa(&mut m, &cfg.fmsa_options());
+            run_fmsa(&mut m, &cfg);
             print_module(&m)
         })
         .collect();
@@ -809,7 +809,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
         let mut identical = true;
         for (base, seq_text) in sample.iter().zip(&seq_texts) {
             let mut m = base.clone();
-            run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            run_fmsa_pipeline(&mut m, &pcfg);
             identical &= print_module(&m) == *seq_text;
         }
         let wall = t0.elapsed().as_secs_f64();
@@ -924,7 +924,7 @@ fn wasm_frontend(fast: bool, overrides: &Config, report: &mut Report) {
             let mut m = base.clone();
             let pcfg = cfg.clone().parallel(threads);
             let t0 = std::time::Instant::now();
-            let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            let stats = run_fmsa_pipeline(&mut m, &pcfg);
             let wall = t0.elapsed();
             let text = print_module(&m);
             let identical = match &first {
@@ -998,7 +998,7 @@ fn fuzz_farm(fast: bool, budget_secs: usize, report: &mut Report) {
     use fmsa_interp::batch::wire_targets;
     use fmsa_interp::{run_differential_batch, BatchConfig};
     use fmsa_workloads::{wasm_fixture_bytes, WasmFixtureConfig};
-    let threads = Config::new().pipeline_options().resolved_threads();
+    let threads = Config::new().parallel(0).resolved_threads();
     let n = if fast { 48 } else { 96 };
     println!("\n== Differential fuzz farm: original vs merged wasm corpus ==");
     println!(
@@ -1026,7 +1026,7 @@ fn fuzz_farm(fast: bool, budget_secs: usize, report: &mut Report) {
         };
         let mut post = pre.clone();
         let cfg = Config::new().threshold(5).search(SearchStrategy::Auto).parallel(threads);
-        let stats = run_fmsa_pipeline(&mut post, &cfg.fmsa_options(), &cfg.pipeline_options());
+        let stats = run_fmsa_pipeline(&mut post, &cfg);
         if stats.merges == 0 {
             report.fail(format!("fuzz memory={with_memory}: corpus did not merge"));
             continue;
@@ -1152,7 +1152,7 @@ fn fault_matrix(fast: bool, report: &mut Report) {
     let mut clean = base.clone();
     {
         let clean_cfg = cfg.clone().parallel(4);
-        run_fmsa_pipeline(&mut clean, &clean_cfg.fmsa_options(), &clean_cfg.pipeline_options());
+        run_fmsa_pipeline(&mut clean, &clean_cfg);
     }
     let clean_text = print_module(&clean);
     for (label, faults) in [("injected", plan), ("poison", poison_only)] {
@@ -1161,7 +1161,7 @@ fn fault_matrix(fast: bool, report: &mut Report) {
             let mut m = base.clone();
             let pcfg = cfg.clone().parallel(threads).faults(faults);
             let t0 = std::time::Instant::now();
-            let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            let stats = run_fmsa_pipeline(&mut m, &pcfg);
             let wall = t0.elapsed();
             let errs = fmsa_ir::verify_module(&m);
             if !errs.is_empty() {
@@ -1294,7 +1294,7 @@ fn ablation_params(suite: &[BenchDesc]) {
             let cfg = Config::new()
                 .threshold(1)
                 .merge(MergeConfig { reuse_params: reuse, ..MergeConfig::default() });
-            run_fmsa(&mut m, &cfg.fmsa_options());
+            run_fmsa(&mut m, &cfg);
             reduction_percent(size_before, cm.module_size(&m))
         };
         let on = run(true);
@@ -1828,7 +1828,7 @@ fn obs(fast: bool, report: &mut Report) {
     let time_run = || {
         let mut m = base.clone();
         let t0 = std::time::Instant::now();
-        let st = run_fmsa(&mut m, &cfg.fmsa_options());
+        let st = run_fmsa(&mut m, &cfg);
         (t0.elapsed().as_secs_f64(), st)
     };
     let _ = time_run(); // warm-up: page cache, allocator, branch predictors
@@ -1871,7 +1871,7 @@ fn obs(fast: bool, report: &mut Report) {
     // telemetry observes, it never decides.
     let seq_text = {
         let mut m = base.clone();
-        run_fmsa(&mut m, &cfg.fmsa_options());
+        run_fmsa(&mut m, &cfg);
         print_module(&m)
     };
     let mut identical_all = true;
@@ -1884,7 +1884,7 @@ fn obs(fast: bool, report: &mut Report) {
         for threads in [1usize, 2, 4, 8] {
             let pcfg = cfg.clone().parallel(threads);
             let mut m = base.clone();
-            run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            run_fmsa_pipeline(&mut m, &pcfg);
             let identical = print_module(&m) == seq_text;
             identical_all &= identical;
             if !identical {
@@ -1971,7 +1971,7 @@ fn obs(fast: bool, report: &mut Report) {
     let par_stats = {
         let pcfg = cfg.clone().parallel(4);
         let mut m = base.clone();
-        run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options())
+        run_fmsa_pipeline(&mut m, &pcfg)
     };
     let seq_stats = seq_stats.expect("overhead loop ran");
     let seq_ok = reconcile("sequential", &seq_stats, report);

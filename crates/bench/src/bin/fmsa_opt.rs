@@ -16,14 +16,15 @@
 //! section/opcode and byte offset); anything else parses as the textual
 //! IR. Output is always textual IR.
 //!
-//! `--threads N` selects the parallel merge pipeline with `N` workers
-//! (`0` = available parallelism); without it the paper's sequential
-//! driver runs. Both produce bit-identical output (see
-//! `fmsa_core::pipeline`). `--spec-depth N` bounds how many of each
-//! subject's promising candidates get speculative merge codegen per
-//! generation (`0` disables speculation, default: all) and
+//! The `fmsa` technique runs the merge pipeline with `--threads N`
+//! workers (default 1, `0` = available parallelism); output is
+//! bit-identical at every thread count and to the paper reference
+//! driver (see `fmsa_core::pipeline`). `--oracle` runs the reference
+//! driver and requires one thread. `--spec-depth N` bounds how many of
+//! each subject's promising candidates get speculative merge codegen
+//! per generation (`0` disables speculation, default: all) and
 //! `--spec-batch N` fixes the subjects scheduled per generation
-//! (default: auto); both only apply together with `--threads`.
+//! (default: auto); speculation only runs with more than one thread.
 //!
 //! The `fmsa` technique is one [`fmsa::Config`] fed to [`fmsa::optimize`]
 //! — the same call the `fmsa-serve` daemon makes per upload, which is why
@@ -196,9 +197,11 @@ fn main() -> ExitCode {
         .arch(arch)
         .canonicalize(canonicalize)
         .search(search)
-        .threads(threads)
         .exclude(exclude)
         .faults(FaultPlan::from_env().unwrap_or_default());
+    if let Some(n) = threads {
+        cfg = cfg.parallel(n);
+    }
     if let Some(d) = spec_depth {
         cfg = cfg.spec_depth(d);
     }
@@ -276,13 +279,12 @@ fn main() -> ExitCode {
     if stats {
         // Self-describing result header: driver, thread count, and the
         // selected search/alignment strategies. Only the fmsa technique
-        // uses the pipeline or a search strategy; the baselines always
-        // run sequentially.
+        // uses the pipeline or a search strategy (oracle runs use the
+        // reference driver); the baselines always run sequentially.
         let (driver, nthreads, search_name) = if technique == "fmsa" {
-            let resolved = threads.map(|_| cfg.pipeline_options().resolved_threads());
             (
-                if resolved.is_some() { "pipeline" } else { "sequential" },
-                resolved.unwrap_or(1),
+                if oracle { "reference" } else { "pipeline" },
+                cfg.resolved_threads(),
                 match search {
                     SearchStrategy::Exact => "exact",
                     SearchStrategy::Lsh(_) => "lsh",

@@ -147,7 +147,7 @@ pub fn run_benchmark(desc: &BenchDesc, plan: &RunPlan) -> BenchResult {
         let t0 = Instant::now();
         run_identical(&mut m, plan.arch);
         let cfg = Config::new().threshold(t).arch(plan.arch).exclude(plan.exclude.iter().cloned());
-        let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+        let stats = run_fmsa(&mut m, &cfg);
         fmsa.push((
             t,
             TechniqueResult {
@@ -165,7 +165,7 @@ pub fn run_benchmark(desc: &BenchDesc, plan: &RunPlan) -> BenchResult {
         let t0 = Instant::now();
         run_identical(&mut m, plan.arch);
         let cfg = Config::new().oracle(true).arch(plan.arch).exclude(plan.exclude.iter().cloned());
-        let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+        let stats = run_fmsa(&mut m, &cfg);
         TechniqueResult {
             merges: stats.merges,
             reduction: reduction_percent(size_before, cm.module_size(&m)),
@@ -247,7 +247,7 @@ pub fn run_runtime_experiment(desc: &BenchDesc, threshold: usize) -> RuntimeResu
         let cfg = Config::new()
             .threshold(threshold)
             .exclude(exclude.iter().cloned().chain(["__driver".to_owned()]));
-        run_fmsa(&mut m, &cfg.fmsa_options());
+        run_fmsa(&mut m, &cfg);
         let (steps, _) = run_driver(&m);
         (steps, reduction_percent(size_before, cm.module_size(&m)))
     };

@@ -1,29 +1,22 @@
-//! The unified run configuration and the `optimize` entry point.
+//! The run configuration and the `optimize` entry point.
 //!
-//! Historically a run was configured by two structs: [`FmsaOptions`]
-//! (what to merge and how) and [`PipelineOptions`] (how to parallelize
-//! it), with every caller — `fmsa_opt`, `experiments`, all tests —
-//! constructing both and choosing between [`run_fmsa`] and
-//! [`run_fmsa_pipeline`] by hand. PR 7 folds both into one
-//! `#[non_exhaustive]` builder-style [`Config`] and one fallible entry
-//! point [`optimize`], which is what the merge daemon (`fmsa-serve`)
-//! and the CLI sit on. The old structs survive as deprecated shims with
-//! `From`/`Into` conversions in both directions, so downstream code
-//! migrates mechanically.
+//! One `#[non_exhaustive]` builder-style [`Config`] describes a run, and
+//! one fallible entry point, [`optimize`], executes it; the merge daemon
+//! (`fmsa-serve`) and the CLI both sit on this pair.
 //!
-//! Driver selection lives in [`Config::threads`]: `None` runs the
-//! paper's sequential driver, `Some(n)` the parallel pipeline with `n`
-//! workers (`Some(0)` = available parallelism). Both produce
-//! bit-identical output (see [`crate::pipeline`]), so the choice is pure
-//! performance policy.
+//! Driver selection: every [`optimize`] call runs the merge pipeline
+//! ([`run_fmsa_pipeline`]) with [`Config::threads`] workers (default 1,
+//! `0` = available parallelism). Output is bit-identical at every thread
+//! count and to the paper reference driver ([`crate::pass::run_fmsa`]),
+//! so the thread count is pure performance policy. Oracle runs are the
+//! one exception: the pipeline hands them to the reference driver, which
+//! runs them sequentially, so oracle mode requires `threads == 1`.
 
 use crate::error::Error;
 use crate::faults::FaultPlan;
 use crate::merge::MergeConfig;
-#[allow(deprecated)]
-use crate::pass::{run_fmsa, FmsaOptions, FmsaStats};
-#[allow(deprecated)]
-use crate::pipeline::{run_fmsa_pipeline, PipelineOptions};
+use crate::pass::FmsaStats;
+use crate::pipeline::run_fmsa_pipeline;
 use crate::quarantine::panic_message;
 use crate::search::SearchStrategy;
 use fmsa_ir::Module;
@@ -31,8 +24,8 @@ use fmsa_target::TargetArch;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// One unified configuration for a merge run, covering everything the
-/// old [`FmsaOptions`] + [`PipelineOptions`] pair expressed, plus the
+/// The configuration of a merge run: what to merge and how (the
+/// paper's exploration parameters), how to parallelize it, and the
 /// policy knobs the daemon needs ([`Config::identical_prepass`],
 /// [`Config::fail_on_quarantine`]).
 ///
@@ -44,7 +37,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// use fmsa_core::Config;
 /// let cfg = Config::new().threshold(5).parallel(4);
 /// assert_eq!(cfg.threshold, 5);
-/// assert_eq!(cfg.threads, Some(4));
+/// assert_eq!(cfg.threads, 4);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -54,7 +47,7 @@ pub struct Config {
     pub threshold: usize,
     /// Oracle mode: evaluate every candidate, commit the best — the
     /// paper's quadratic upper bound. Forces exact search and the
-    /// sequential driver.
+    /// sequential reference driver (requires `threads == 1`).
     pub oracle: bool,
     /// Target whose cost model drives profitability.
     pub arch: TargetArch,
@@ -69,19 +62,29 @@ pub struct Config {
     pub canonicalize: bool,
     /// Candidate search strategy (exact, LSH, or auto by module size).
     pub search: SearchStrategy,
-    /// Per-pair alignment cost bounds (honoured by the pipeline driver).
+    /// Per-pair alignment cost bounds, honoured by the pipeline. The
+    /// reference driver aligns every pair in full; the default budget
+    /// never triggers at paper scale, so the two stay bit-identical on
+    /// the evaluated workloads.
     pub budget: fmsa_align::AlignmentBudget,
-    /// Driver selection: `None` = the paper's sequential driver,
-    /// `Some(n)` = the parallel pipeline with `n` workers (`0` =
-    /// available parallelism). Output is bit-identical either way.
-    pub threads: Option<usize>,
-    /// Pipeline: subjects scheduled per generation (`0` = whole
-    /// frontier). Ignored by the sequential driver.
+    /// Pipeline worker threads (default 1; `0` = available parallelism).
+    /// `1` runs no prepare stage and commits inline — the fastest
+    /// configuration on a single core. Output is bit-identical at every
+    /// thread count.
+    pub threads: usize,
+    /// Subjects scheduled per generation (`0` = whole frontier, bounded
+    /// automatically while speculating). Smaller batches waste less
+    /// speculative work when commits invalidate scheduled attempts, at
+    /// the cost of more prepare/commit barriers.
     pub batch: usize,
-    /// Pipeline: speculative codegen depth per subject (`0` disables
-    /// speculation). Ignored by the sequential driver.
+    /// How many of each subject's promising candidates get speculative
+    /// merge codegen in the prepare stage (`0` disables speculation,
+    /// default: all). No effect with one thread.
     pub spec_depth: usize,
-    /// Deterministic fault injection (tests, `experiments faults`).
+    /// Deterministic fault injection (tests, `experiments faults`,
+    /// `FMSA_FAULTS`): forces panics, verifier rejections or scratch
+    /// corruption at the plan's sites, which the pipeline must
+    /// quarantine or degrade — see [`crate::faults`].
     pub faults: FaultPlan,
     /// Run LLVM-style identical-function merging before FMSA — what
     /// `fmsa_opt --technique fmsa` has always done, and what the paper's
@@ -104,7 +107,7 @@ impl Default for Config {
             canonicalize: false,
             search: SearchStrategy::Auto,
             budget: fmsa_align::AlignmentBudget::default(),
-            threads: None,
+            threads: 1,
             batch: 0,
             spec_depth: usize::MAX,
             faults: FaultPlan::disabled(),
@@ -115,7 +118,7 @@ impl Default for Config {
 }
 
 impl Config {
-    /// The default configuration: sequential driver, threshold 1, auto
+    /// The default configuration: one pipeline worker, threshold 1, auto
     /// search, identical-merging prepass on.
     pub fn new() -> Config {
         Config::default()
@@ -179,18 +182,19 @@ impl Config {
         self
     }
 
-    /// Selects the parallel pipeline with `n` worker threads (`0` =
-    /// available parallelism).
+    /// Sets the pipeline worker count (`0` = available parallelism).
     pub fn parallel(mut self, n: usize) -> Config {
-        self.threads = Some(n);
+        self.threads = n;
         self
     }
 
-    /// Selects the driver explicitly: `None` = sequential, `Some(n)` =
-    /// pipeline.
-    pub fn threads(mut self, threads: Option<usize>) -> Config {
-        self.threads = threads;
-        self
+    /// The worker count [`Config::threads`] resolves to on this machine.
+    pub fn resolved_threads(&self) -> usize {
+        if self.threads == 0 {
+            rayon::current_num_threads()
+        } else {
+            self.threads
+        }
     }
 
     /// Sets the pipeline generation batch size.
@@ -222,88 +226,11 @@ impl Config {
         self.fail_on_quarantine = on;
         self
     }
-
-    /// The merge-policy half of this configuration as the deprecated
-    /// [`FmsaOptions`] — interop with the low-level reference drivers
-    /// ([`run_fmsa`], [`run_fmsa_pipeline`]), which keep their paper-era
-    /// signatures.
-    #[allow(deprecated)]
-    pub fn fmsa_options(&self) -> FmsaOptions {
-        FmsaOptions {
-            threshold: self.threshold,
-            oracle: self.oracle,
-            arch: self.arch,
-            merge: self.merge.clone(),
-            exclude: self.exclude.clone(),
-            min_similarity: self.min_similarity,
-            canonicalize: self.canonicalize,
-            search: self.search,
-            budget: self.budget,
-        }
-    }
-
-    /// The parallelism half of this configuration as the deprecated
-    /// [`PipelineOptions`]. `threads == None` maps to the pipeline
-    /// default (auto), because the caller choosing [`run_fmsa_pipeline`]
-    /// directly has already decided to run the pipeline.
-    #[allow(deprecated)]
-    pub fn pipeline_options(&self) -> PipelineOptions {
-        PipelineOptions {
-            threads: self.threads.unwrap_or(0),
-            batch: self.batch,
-            spec_depth: self.spec_depth,
-            faults: self.faults,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<FmsaOptions> for Config {
-    fn from(o: FmsaOptions) -> Config {
-        Config {
-            threshold: o.threshold,
-            oracle: o.oracle,
-            arch: o.arch,
-            merge: o.merge,
-            exclude: o.exclude,
-            min_similarity: o.min_similarity,
-            canonicalize: o.canonicalize,
-            search: o.search,
-            budget: o.budget,
-            ..Config::default()
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<(FmsaOptions, PipelineOptions)> for Config {
-    fn from((o, p): (FmsaOptions, PipelineOptions)) -> Config {
-        let mut cfg = Config::from(o);
-        cfg.threads = Some(p.threads);
-        cfg.batch = p.batch;
-        cfg.spec_depth = p.spec_depth;
-        cfg.faults = p.faults;
-        cfg
-    }
-}
-
-#[allow(deprecated)]
-impl From<Config> for FmsaOptions {
-    fn from(c: Config) -> FmsaOptions {
-        c.fmsa_options()
-    }
-}
-
-#[allow(deprecated)]
-impl From<Config> for PipelineOptions {
-    fn from(c: Config) -> PipelineOptions {
-        c.pipeline_options()
-    }
 }
 
 /// Runs the full merge stack over `module` under `cfg`: input
-/// verification, the optional identical-merging prepass, the selected
-/// driver behind a panic boundary, and output re-verification.
+/// verification, the optional identical-merging prepass, the merge
+/// pipeline behind a panic boundary, and output re-verification.
 ///
 /// This is the library entry point the daemon and `fmsa_opt` share —
 /// byte-identical output between them falls out of calling the same
@@ -314,20 +241,16 @@ pub fn optimize(module: &mut Module, cfg: &Config) -> Result<FmsaStats, Error> {
     if let Some(e) = errs.first() {
         return Err(Error::verify(false, &e.func, e.to_string()));
     }
-    if cfg.oracle && cfg.threads.is_some() {
-        // The pipeline delegates oracle runs to the sequential driver
-        // anyway; make the policy explicit at the API boundary.
-        return Err(Error::config("oracle mode runs sequentially; leave `threads` unset"));
+    if cfg.oracle && cfg.threads != 1 {
+        // The pipeline delegates oracle runs to the sequential reference
+        // driver; make the policy explicit at the API boundary.
+        return Err(Error::config("oracle mode runs sequentially; use `threads == 1`"));
     }
-    let opts = cfg.fmsa_options();
     let ran = catch_unwind(AssertUnwindSafe(|| {
         if cfg.identical_prepass {
             crate::baselines::run_identical(module, cfg.arch);
         }
-        match cfg.threads {
-            Some(_) => run_fmsa_pipeline(module, &opts, &cfg.pipeline_options()),
-            None => run_fmsa(module, &opts),
-        }
+        run_fmsa_pipeline(module, cfg)
     }));
     let stats = match ran {
         Ok(stats) => stats,
@@ -351,6 +274,7 @@ pub fn optimize(module: &mut Module, cfg: &Config) -> Result<FmsaStats, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmsa_ir::printer::print_module;
     use fmsa_ir::{FuncBuilder, Value};
 
     fn clone_family(m: &mut Module, count: usize) {
@@ -380,15 +304,39 @@ mod tests {
         assert!(fmsa_ir::verify_module(&m).is_empty());
     }
 
+    /// `optimize` on the default configuration must reproduce the paper
+    /// reference driver byte for byte: the identical-merging prepass
+    /// followed by [`crate::pass::run_fmsa`].
+    fn assert_default_matches_reference(m: &Module) {
+        let cfg = Config::new();
+        let mut reference = m.clone();
+        crate::baselines::run_identical(&mut reference, cfg.arch);
+        let expected = crate::pass::run_fmsa(&mut reference, &cfg);
+        assert!(expected.merges > 0, "the input must exercise merging: {expected:?}");
+        let mut optimized = m.clone();
+        let stats = optimize(&mut optimized, &cfg).unwrap();
+        assert_eq!(print_module(&reference), print_module(&optimized));
+        assert_eq!(expected.merges, stats.merges);
+    }
+
     #[test]
-    fn sequential_and_pipeline_configs_agree_bitwise() {
-        let mut m1 = Module::new("m");
-        clone_family(&mut m1, 6);
-        let mut m2 = Module::new("m");
-        clone_family(&mut m2, 6);
-        optimize(&mut m1, &Config::new().threshold(5)).unwrap();
-        optimize(&mut m2, &Config::new().threshold(5).parallel(2)).unwrap();
-        assert_eq!(fmsa_ir::printer::print_module(&m1), fmsa_ir::printer::print_module(&m2));
+    fn default_config_matches_reference_driver() {
+        let mut m = Module::new("m");
+        clone_family(&mut m, 6);
+        assert_default_matches_reference(&m);
+        let bytes = fmsa_workloads::wasm_fixture_bytes(
+            &fmsa_workloads::WasmFixtureConfig::with_functions(96),
+        );
+        let m = fmsa_wasm::load_wasm(&bytes, "fixture").expect("fixtures lower");
+        assert_default_matches_reference(&m);
+    }
+
+    #[test]
+    fn resolved_threads_maps_zero_to_available_parallelism() {
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(Config::new().parallel(0).resolved_threads(), available);
+        assert_eq!(Config::new().resolved_threads(), 1);
+        assert_eq!(Config::new().parallel(3).resolved_threads(), 3);
     }
 
     #[test]
@@ -420,23 +368,6 @@ mod tests {
         assert_eq!(err.stage(), "config");
     }
 
-    #[allow(deprecated)]
-    #[test]
-    fn shims_round_trip() {
-        let cfg = Config::new().threshold(7).parallel(3).batch(64).canonicalize(true);
-        let opts: FmsaOptions = cfg.clone().into();
-        let pipe: PipelineOptions = cfg.clone().into();
-        assert_eq!(opts.threshold, 7);
-        assert!(opts.canonicalize);
-        assert_eq!(pipe.threads, 3);
-        assert_eq!(pipe.batch, 64);
-        let back = Config::from((opts, pipe));
-        assert_eq!(back.threshold, 7);
-        assert_eq!(back.threads, Some(3));
-        assert_eq!(back.batch, 64);
-        assert!(back.canonicalize);
-    }
-
     #[test]
     fn identical_prepass_is_part_of_the_contract() {
         // Two byte-identical functions: the prepass merges them even at
@@ -455,12 +386,12 @@ mod tests {
         let with = {
             let mut mm = m.clone();
             optimize(&mut mm, &Config::new()).unwrap();
-            fmsa_ir::printer::print_module(&mm)
+            print_module(&mm)
         };
         let without = {
             let mut mm = m.clone();
             optimize(&mut mm, &Config::new().identical_prepass(false)).unwrap();
-            fmsa_ir::printer::print_module(&mm)
+            print_module(&mm)
         };
         // The prepass thunks one of the twins; without it FMSA may still
         // merge them, but through its own (different) codegen path.

@@ -22,7 +22,11 @@
 //!   near-linear MinHash/LSH shortlisting
 //! * [`profitability`] — the Δ cost model over the target TTI (§IV-A)
 //! * [`thunks`] — call-graph update: thunks, call-site rewriting, deletion
-//! * [`pass`] — the optimization driver with per-step timers (§IV, Fig. 7)
+//! * [`pass`] — the paper reference driver with per-step timers (§IV,
+//!   Fig. 7)
+//! * [`pipeline`] — the production driver behind [`optimize`]: the same
+//!   greedy exploration as schedule/prepare/commit generations on a
+//!   worker pool, bit-identical to the reference driver
 //! * [`baselines`] — LLVM-style identical merging and the SOA structural
 //!   merging of von Koch et al. (§V-A)
 //! * [`config`] / [`error`] — the unified public API: one builder-style
@@ -90,8 +94,7 @@ pub use error::Error;
 pub use faults::{silence_injected_panics, FaultPlan, FaultSite};
 pub use linearize::{linearize, Entry, LinearizationCache};
 pub use merge::{merge_pair, MergeConfig, MergeError, MergeInfo};
-#[allow(deprecated)]
-pub use pipeline::{run_fmsa_pipeline, PipelineOptions};
+pub use pipeline::run_fmsa_pipeline;
 pub use quarantine::{QuarantineEntry, QuarantineLog, QuarantineStage};
 pub use search::{CandidateSearch, ExactSearch, LshConfig, LshSearch, SearchStrategy};
 pub use session::{MergeOutcome, MergeSession, RequestStats, SessionTotals};

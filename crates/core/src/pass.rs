@@ -1,4 +1,4 @@
-//! The FMSA optimization driver (paper §IV, Fig. 7).
+//! The paper reference driver (paper §IV, Fig. 7).
 //!
 //! "It starts by precomputing and caching fingerprints for all functions
 //! ... For each function f1, we use a priority queue to rank the topmost
@@ -9,100 +9,26 @@
 //! this feedback loop, merge operations can also be performed on functions
 //! that resulted from previous merge operations."
 //!
-//! The driver instruments each step with a timer so the harness can
+//! [`run_fmsa`] implements that loop as written, one attempt at a time.
+//! It is the reference the production driver
+//! ([`crate::pipeline::run_fmsa_pipeline`], behind [`crate::optimize`])
+//! is checked against byte for byte, and it runs oracle mode, whose
+//! upper-bound claim needs the exact module state at every attempt. The
+//! driver instruments each step with a timer so the harness can
 //! regenerate the paper's compile-time breakdown (Fig. 13).
 
-// This module *implements* the deprecated `FmsaOptions` surface; the
-// replacement ([`crate::Config`]) converts into it.
-#![allow(deprecated)]
-
+use crate::config::Config;
 use crate::fingerprint::Fingerprint;
 use crate::linearize::linearize;
-use crate::merge::{align_with, merge_pair_aligned, MergeConfig, MergeInfo};
+use crate::merge::{align_with, merge_pair_aligned, MergeInfo};
 use crate::profitability::{evaluate, ProfitReport};
 use crate::search::SearchStrategy;
 use crate::telemetry::{trace, DecisionOutcome, DecisionRecord};
 use crate::thunks::commit_merge;
 use fmsa_ir::{FuncId, Module};
-use fmsa_target::{CostModel, TargetArch};
+use fmsa_target::CostModel;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
-
-/// Options controlling one run of the FMSA pass.
-#[deprecated(
-    since = "0.7.0",
-    note = "use `fmsa_core::Config` (and `fmsa_core::optimize`); `Config::fmsa_options()` \
-            converts for the low-level drivers"
-)]
-#[derive(Debug, Clone)]
-pub struct FmsaOptions {
-    /// Exploration threshold `t`: how many top-ranked candidates to try per
-    /// function (paper evaluates t = 1, 5, 10).
-    pub threshold: usize,
-    /// Oracle mode: evaluate *every* candidate and commit the most
-    /// profitable one — the paper's unrealistic quadratic upper bound.
-    /// Forces [`SearchStrategy::Exact`] regardless of [`FmsaOptions::search`]
-    /// (a shortlist would invalidate the upper-bound claim).
-    pub oracle: bool,
-    /// Target whose TTI-like cost model drives profitability.
-    pub arch: TargetArch,
-    /// Per-pair merge configuration.
-    pub merge: MergeConfig,
-    /// Function names excluded from merging (the paper's profile-guided
-    /// hot-function exclusion, §V-D).
-    pub exclude: HashSet<String>,
-    /// Candidates below this similarity are never attempted.
-    pub min_similarity: f64,
-    /// Canonicalize intra-block instruction order before merging — the
-    /// paper's future-work extension ("allowing instruction reordering to
-    /// maximize the number of matches"). Semantics-preserving; makes
-    /// reordered clones align.
-    pub canonicalize: bool,
-    /// How merge candidates are searched: the paper's exact pairwise
-    /// scan, near-linear MinHash/LSH shortlisting, or (the default)
-    /// automatic selection by module size (see [`crate::search`] and
-    /// [`crate::search::AUTO_SEARCH_CROSSOVER`]).
-    pub search: SearchStrategy,
-    /// Per-pair alignment cost bounds, honoured by the pipeline driver
-    /// ([`crate::pipeline`]). The sequential driver ignores it — the
-    /// paper's reference behaviour aligns every candidate pair in full —
-    /// and the default budget never triggers at paper scale, so the two
-    /// drivers stay bit-identical on the evaluated workloads.
-    pub budget: fmsa_align::AlignmentBudget,
-}
-
-impl Default for FmsaOptions {
-    fn default() -> Self {
-        FmsaOptions {
-            threshold: 1,
-            oracle: false,
-            arch: TargetArch::X86_64,
-            merge: MergeConfig::default(),
-            exclude: HashSet::new(),
-            min_similarity: 0.0,
-            canonicalize: false,
-            search: SearchStrategy::Auto,
-            budget: fmsa_align::AlignmentBudget::default(),
-        }
-    }
-}
-
-impl FmsaOptions {
-    /// Convenience: options with a given exploration threshold.
-    pub fn with_threshold(t: usize) -> FmsaOptions {
-        FmsaOptions { threshold: t, ..FmsaOptions::default() }
-    }
-
-    /// Convenience: oracle (exhaustive) exploration.
-    pub fn oracle() -> FmsaOptions {
-        FmsaOptions { oracle: true, ..FmsaOptions::default() }
-    }
-
-    /// Convenience: LSH candidate search with default parameters.
-    pub fn with_lsh(t: usize) -> FmsaOptions {
-        FmsaOptions { threshold: t, search: SearchStrategy::lsh(), ..FmsaOptions::default() }
-    }
-}
 
 /// Wall-clock spent in each step of the optimization — the rows of the
 /// paper's Fig. 13 breakdown.
@@ -166,10 +92,11 @@ pub struct FmsaStats {
     pub deleted: usize,
     /// Originals kept as thunks.
     pub thunks: usize,
-    /// Pipeline-only telemetry; `None` for the sequential driver.
+    /// Pipeline-only telemetry; `None` for the reference driver (oracle
+    /// runs).
     pub pipeline: Option<crate::pipeline::PipelineStats>,
     /// Pairs the pipeline quarantined instead of merging (caught panics,
-    /// verifier rejections). Always empty for the sequential driver,
+    /// verifier rejections). Always empty for the reference driver,
     /// which has no fault boundaries.
     pub quarantine: crate::quarantine::QuarantineLog,
     /// One structured record per merge attempt: who paired with whom,
@@ -186,14 +113,16 @@ impl FmsaStats {
     }
 }
 
-/// Runs the FMSA optimization over `module`.
-pub fn run_fmsa(module: &mut Module, opts: &FmsaOptions) -> FmsaStats {
+/// Runs the FMSA optimization over `module` with the paper reference
+/// driver. Honours the merge-policy fields of `cfg`; the pipeline fields
+/// (`threads`, `batch`, `spec_depth`, `faults`, `budget`) do not apply.
+pub fn run_fmsa(module: &mut Module, cfg: &Config) -> FmsaStats {
     let _pass_span = trace::span("fmsa", "pass");
-    let cm = CostModel::new(opts.arch);
+    let cm = CostModel::new(cfg.arch);
     let mut stats = FmsaStats { size_before: cm.module_size(module), ..FmsaStats::default() };
 
     let SeededPass { mut fingerprints, mut index, mut worklist, mut live } =
-        seed_pass(module, opts, &mut stats.timers, None);
+        seed_pass(module, cfg, &mut stats.timers, None);
 
     while let Some(f1) = worklist.pop_front() {
         if !live.contains(&f1) || !module.is_live(f1) {
@@ -202,9 +131,9 @@ pub fn run_fmsa(module: &mut Module, opts: &FmsaOptions) -> FmsaStats {
         // Query the index for f1's top candidates, scoring borrowed
         // fingerprints straight out of the live map.
         let t0 = Instant::now();
-        let threshold = if opts.oracle { usize::MAX } else { opts.threshold };
+        let threshold = if cfg.oracle { usize::MAX } else { cfg.threshold };
         let candidates =
-            index.candidates(f1, &fingerprints[&f1], &fingerprints, threshold, opts.min_similarity);
+            index.candidates(f1, &fingerprints[&f1], &fingerprints, threshold, cfg.min_similarity);
         stats.timers.ranking += t0.elapsed();
 
         let mut best: Option<(usize, MergeInfo, ProfitReport)> = None;
@@ -241,14 +170,14 @@ pub fn run_fmsa(module: &mut Module, opts: &FmsaOptions) -> FmsaStats {
                 cand.func,
                 &seq1,
                 &seq2,
-                &opts.merge.scoring,
-                opts.merge.algorithm,
+                &cfg.merge.scoring,
+                cfg.merge.algorithm,
             );
             stats.timers.alignment += t0.elapsed();
             let rec = DecisionRecord { align_score: Some(alignment.score), ..rec };
             let t0 = Instant::now();
             let merged =
-                merge_pair_aligned(module, f1, cand.func, seq1, seq2, alignment, &opts.merge);
+                merge_pair_aligned(module, f1, cand.func, seq1, seq2, alignment, &cfg.merge);
             let outcome = match merged {
                 Ok(info) => {
                     let report = evaluate(module, &cm, &info);
@@ -260,7 +189,7 @@ pub fn run_fmsa(module: &mut Module, opts: &FmsaOptions) -> FmsaStats {
             match outcome {
                 Some((info, report)) if report.is_profitable() => {
                     let delta = Some(report.delta);
-                    if opts.oracle {
+                    if cfg.oracle {
                         // Keep only the best profitable candidate.
                         let better =
                             best.as_ref().map(|(_, _, b)| report.delta > b.delta).unwrap_or(true);
@@ -376,9 +305,9 @@ pub fn run_fmsa(module: &mut Module, opts: &FmsaOptions) -> FmsaStats {
     stats
 }
 
-pub(crate) fn eligible(module: &Module, f: FuncId, opts: &FmsaOptions) -> bool {
+pub(crate) fn eligible(module: &Module, f: FuncId, cfg: &Config) -> bool {
     let func = module.func(f);
-    !func.is_declaration() && !opts.exclude.contains(&func.name)
+    !func.is_declaration() && !cfg.exclude.contains(&func.name)
 }
 
 /// The state both drivers start from: fingerprints, the seeded search
@@ -390,7 +319,7 @@ pub(crate) struct SeededPass {
     pub live: HashSet<FuncId>,
 }
 
-/// Shared setup of the sequential and pipeline drivers. Keeping this in
+/// Shared setup of the reference and pipeline drivers. Keeping this in
 /// one place is part of the pipeline's bit-identity guarantee: both
 /// drivers must start from exactly the same seeded state.
 ///
@@ -401,16 +330,16 @@ pub(crate) struct SeededPass {
 /// million-function scale these two loops are the entire startup cost.
 pub(crate) fn seed_pass(
     module: &mut Module,
-    opts: &FmsaOptions,
+    cfg: &Config,
     timers: &mut StepTimers,
     pool: Option<&rayon::ThreadPool>,
 ) -> SeededPass {
     // Optional future-work extension: canonical intra-block instruction
     // order, so reordered clones linearize identically.
-    if opts.canonicalize {
+    if cfg.canonicalize {
         let t0 = Instant::now();
         for f in module.func_ids() {
-            if eligible(module, f, opts) {
+            if eligible(module, f, cfg) {
                 fmsa_ir::passes::canonicalize_block_order(module.func_mut(f));
             }
         }
@@ -421,7 +350,7 @@ pub(crate) fn seed_pass(
     // the feedback loop — no per-iteration pool is ever rebuilt.
     let t0 = Instant::now();
     let available: Vec<FuncId> =
-        module.func_ids().into_iter().filter(|&f| eligible(module, f, opts)).collect();
+        module.func_ids().into_iter().filter(|&f| eligible(module, f, cfg)).collect();
     let fingerprints: HashMap<FuncId, Fingerprint> = match pool {
         Some(pool) if pool.current_num_threads() > 1 && available.len() > 1 => {
             let module = &*module;
@@ -433,11 +362,11 @@ pub(crate) fn seed_pass(
     let t0 = Instant::now();
     // The oracle's "best possible candidate" claim requires an exhaustive
     // scan: shortlisting would silently turn its upper bound into a guess,
-    // so oracle mode always searches exactly regardless of `opts.search`.
+    // so oracle mode always searches exactly regardless of `cfg.search`.
     // `Auto` resolves here, against the eligible-function count, so both
-    // drivers (sequential and pipeline) pick the same implementation.
+    // drivers (reference and pipeline) pick the same implementation.
     let strategy =
-        if opts.oracle { SearchStrategy::Exact } else { opts.search.resolve(available.len()) };
+        if cfg.oracle { SearchStrategy::Exact } else { cfg.search.resolve(available.len()) };
     let mut index = strategy.build();
     let items: Vec<(FuncId, &Fingerprint)> =
         available.iter().map(|&f| (f, &fingerprints[&f])).collect();
@@ -452,6 +381,10 @@ pub(crate) fn seed_pass(
 mod tests {
     use super::*;
     use fmsa_ir::{FuncBuilder, Value};
+
+    fn lsh(threshold: usize) -> Config {
+        Config::new().threshold(threshold).search(SearchStrategy::lsh())
+    }
 
     fn clone_family(m: &mut Module, count: usize, body_len: usize) -> Vec<FuncId> {
         let i32t = m.types.i32();
@@ -479,7 +412,7 @@ mod tests {
     fn merges_a_clone_family_and_shrinks_module() {
         let mut m = Module::new("m");
         clone_family(&mut m, 4, 12);
-        let stats = run_fmsa(&mut m, &FmsaOptions::default());
+        let stats = run_fmsa(&mut m, &Config::new());
         assert!(stats.merges >= 2, "{stats:?}");
         assert!(stats.size_after < stats.size_before, "{stats:?}");
         assert!(fmsa_ir::verify_module(&m).is_empty(), "{:?}", fmsa_ir::verify_module(&m));
@@ -491,7 +424,7 @@ mod tests {
         // themselves similar and merge again -> 3 total merges.
         let mut m = Module::new("m");
         clone_family(&mut m, 4, 12);
-        let stats = run_fmsa(&mut m, &FmsaOptions::with_threshold(10));
+        let stats = run_fmsa(&mut m, &Config::new().threshold(10));
         assert_eq!(stats.merges, 3, "{stats:?}");
     }
 
@@ -499,9 +432,7 @@ mod tests {
     fn exclusion_prevents_merging() {
         let mut m = Module::new("m");
         clone_family(&mut m, 2, 12);
-        let mut opts = FmsaOptions::default();
-        opts.exclude.insert("fam0".to_owned());
-        let stats = run_fmsa(&mut m, &opts);
+        let stats = run_fmsa(&mut m, &Config::new().exclude(["fam0"]));
         assert_eq!(stats.merges, 0);
         assert_eq!(stats.size_before, stats.size_after);
     }
@@ -510,10 +441,10 @@ mod tests {
     fn oracle_finds_at_least_as_much_as_greedy() {
         let mut m1 = Module::new("m1");
         clone_family(&mut m1, 5, 10);
-        let greedy = run_fmsa(&mut m1, &FmsaOptions::default());
+        let greedy = run_fmsa(&mut m1, &Config::new());
         let mut m2 = Module::new("m2");
         clone_family(&mut m2, 5, 10);
-        let oracle = run_fmsa(&mut m2, &FmsaOptions::oracle());
+        let oracle = run_fmsa(&mut m2, &Config::new().oracle(true));
         assert!(oracle.size_after <= greedy.size_after, "greedy={greedy:?} oracle={oracle:?}");
     }
 
@@ -521,7 +452,7 @@ mod tests {
     fn rank_positions_recorded() {
         let mut m = Module::new("m");
         clone_family(&mut m, 4, 12);
-        let stats = run_fmsa(&mut m, &FmsaOptions::with_threshold(5));
+        let stats = run_fmsa(&mut m, &Config::new().threshold(5));
         assert_eq!(stats.rank_positions.len(), stats.merges);
         assert!(stats.rank_positions.iter().all(|&p| (1..=5).contains(&p)));
     }
@@ -530,7 +461,7 @@ mod tests {
     fn lsh_search_merges_clone_families_too() {
         let mut m = Module::new("m");
         clone_family(&mut m, 4, 12);
-        let stats = run_fmsa(&mut m, &FmsaOptions::with_lsh(10));
+        let stats = run_fmsa(&mut m, &lsh(10));
         assert!(stats.merges >= 2, "{stats:?}");
         assert!(stats.size_after < stats.size_before, "{stats:?}");
         assert!(fmsa_ir::verify_module(&m).is_empty());
@@ -543,7 +474,7 @@ mod tests {
         // each other through the index for the third merge.
         let mut m = Module::new("m");
         clone_family(&mut m, 4, 12);
-        let stats = run_fmsa(&mut m, &FmsaOptions::with_lsh(10));
+        let stats = run_fmsa(&mut m, &lsh(10));
         assert_eq!(stats.merges, 3, "{stats:?}");
     }
 
@@ -551,10 +482,10 @@ mod tests {
     fn exact_and_lsh_agree_on_small_families() {
         let mut m1 = Module::new("m1");
         clone_family(&mut m1, 6, 10);
-        let exact = run_fmsa(&mut m1, &FmsaOptions::with_threshold(5));
+        let exact = run_fmsa(&mut m1, &Config::new().threshold(5));
         let mut m2 = Module::new("m2");
         clone_family(&mut m2, 6, 10);
-        let lsh = run_fmsa(&mut m2, &FmsaOptions::with_lsh(5));
+        let lsh = run_fmsa(&mut m2, &lsh(5));
         assert_eq!(exact.merges, lsh.merges, "exact={exact:?} lsh={lsh:?}");
         assert_eq!(exact.size_after, lsh.size_after);
     }
@@ -565,11 +496,10 @@ mod tests {
         // bound is only meaningful over an exhaustive scan.
         let mut m1 = Module::new("m1");
         clone_family(&mut m1, 5, 10);
-        let exact = run_fmsa(&mut m1, &FmsaOptions::oracle());
+        let exact = run_fmsa(&mut m1, &Config::new().oracle(true));
         let mut m2 = Module::new("m2");
         clone_family(&mut m2, 5, 10);
-        let opts = FmsaOptions { search: crate::SearchStrategy::lsh(), ..FmsaOptions::oracle() };
-        let lsh = run_fmsa(&mut m2, &opts);
+        let lsh = run_fmsa(&mut m2, &Config::new().oracle(true).search(SearchStrategy::lsh()));
         assert_eq!(exact.merges, lsh.merges);
         assert_eq!(exact.size_after, lsh.size_after);
         assert_eq!(exact.rank_positions, lsh.rank_positions);
@@ -579,7 +509,7 @@ mod tests {
     fn timers_accumulate() {
         let mut m = Module::new("m");
         clone_family(&mut m, 4, 20);
-        let stats = run_fmsa(&mut m, &FmsaOptions::default());
+        let stats = run_fmsa(&mut m, &Config::new());
         assert!(stats.timers.total() > Duration::ZERO);
         assert!(stats.timers.alignment > Duration::ZERO);
     }

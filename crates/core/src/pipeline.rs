@@ -1,7 +1,8 @@
-//! The parallel merge pipeline: a schedule/prepare/commit restructuring
-//! of the sequential FMSA driver ([`crate::pass::run_fmsa`]).
+//! The merge pipeline: a schedule/prepare/commit restructuring of the
+//! paper reference driver ([`crate::pass::run_fmsa`]), and the driver
+//! every [`crate::optimize`] call runs.
 //!
-//! The sequential driver interleaves cheap bookkeeping with the two
+//! The reference driver interleaves cheap bookkeeping with the two
 //! expensive per-attempt steps (sequence alignment and merge code
 //! generation), leaving every core but one idle. This driver splits each
 //! worklist *generation* into three stages (see `docs/pipeline.md` for
@@ -15,7 +16,7 @@
 //!    (misses linearized on the worker pool, inserted sequentially).
 //! 2. **Prepare** (parallel): for every distinct `(subject, candidate)`
 //!    pair, a worker computes the alignment (under the
-//!    [`fmsa_align::AlignmentBudget`] of [`FmsaOptions::budget`]) and the
+//!    [`fmsa_align::AlignmentBudget`] of [`Config::budget`]) and the
 //!    pre-codegen profitability gate
 //!    ([`crate::profitability::optimistic_delta`]). A second parallel
 //!    wave then runs **speculative merge codegen**
@@ -24,7 +25,7 @@
 //!    scratch module. Workers only read the main module; all results are
 //!    speculative.
 //! 3. **Commit** (sequential): subjects are visited in the exact order
-//!    the sequential driver would visit them. Each prepared attempt is
+//!    the reference driver would visit them. Each prepared attempt is
 //!    re-validated — if either function mutated since it was scheduled,
 //!    or an earlier commit dirtied the candidate index, the stale part is
 //!    recomputed inline. A fresh speculative body is **transplanted**
@@ -51,10 +52,10 @@
 //! counters; bit-identity under batching is property-tested in
 //! `tests/parallel_pipeline.rs`.
 //!
-//! Because the commit stage replays the sequential driver's decision
+//! Because the commit stage replays the reference driver's decision
 //! procedure exactly — same candidate order, same greedy
 //! first-profitable rule, same profitability values — the optimized
-//! module is **bit-identical to the sequential pass at any thread
+//! module is **bit-identical to the reference pass at any thread
 //! count** (as long as the alignment budget never triggers, which the
 //! default budget guarantees at paper scale). Parallelism only moves
 //! *where* alignments are computed; staleness is handled by
@@ -63,25 +64,23 @@
 //! The oracle mode explores every candidate of every subject and commits
 //! the global best per subject; its upper-bound claim depends on
 //! evaluating against the exact module state, so [`run_fmsa_pipeline`]
-//! delegates oracle runs to the sequential driver.
-
-// This module *implements* the deprecated `PipelineOptions` surface; the
-// replacement ([`crate::Config`]) converts into it.
-#![allow(deprecated)]
+//! delegates oracle runs to the reference driver.
 
 use crate::callsites::{outgoing_calls, CallSiteIndex};
+use crate::config::Config;
 use crate::equivalence::EquivCtx;
-use crate::faults::{FaultPlan, FaultSite};
+use crate::faults::FaultSite;
 use crate::fingerprint::Fingerprint;
 use crate::linearize::{Entry, LinearizationCache};
 use crate::merge::{
     commit_speculative, evaluate_speculative, merge_pair_aligned, speculate_merge, AlignAlgo,
     MergeInfo, SpeculativeMerge,
 };
-use crate::pass::{run_fmsa, seed_pass, FmsaOptions, FmsaStats, SeededPass};
+use crate::pass::{run_fmsa, seed_pass, FmsaStats, SeededPass};
 use crate::profitability::{evaluate_indexed, optimistic_delta, ProfitReport};
 use crate::quarantine::{panic_message, QuarantineStage};
 use crate::ranking::Candidate;
+use crate::search::CandidateSearch;
 use crate::telemetry::{trace, DecisionOutcome, DecisionRecord};
 use crate::thunks::{
     can_delete, commit_merge_partitioned, prepare_commit_casts, Disposition, RewritePlan,
@@ -89,73 +88,10 @@ use crate::thunks::{
 use fmsa_align::{align_with_plan, Alignment};
 use fmsa_ir::{FuncId, Module};
 use fmsa_target::CostModel;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Options of the pipeline driver, on top of [`FmsaOptions`].
-#[deprecated(
-    since = "0.7.0",
-    note = "use `fmsa_core::Config` with `threads`/`batch`/`spec_depth` set (and \
-            `fmsa_core::optimize`); `Config::pipeline_options()` converts for this driver"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineOptions {
-    /// Worker threads for the prepare stage; `0` selects the machine's
-    /// available parallelism. `1` disables speculation entirely (no
-    /// prepare stage, no wasted attempts) and runs the commit stage
-    /// inline — the fastest configuration on a single core.
-    pub threads: usize,
-    /// Subjects scheduled per generation; `0` means the whole current
-    /// frontier. Smaller batches waste less speculative work when
-    /// commits invalidate scheduled attempts, at the cost of more
-    /// prepare/commit barriers.
-    pub batch: usize,
-    /// How many of each subject's promising candidates get speculative
-    /// merge codegen in the prepare stage (scratch-module build,
-    /// transplanted at commit). `0` disables speculation entirely (PR 2
-    /// behaviour: commit regenerates every merged body inline);
-    /// `usize::MAX` covers every prepared pair. Defaults to `usize::MAX`:
-    /// the greedy commit stage code-generates every candidate until the
-    /// first profitable one, so on merge-sparse workloads most prepared
-    /// pairs really do reach codegen. No effect with one thread.
-    pub spec_depth: usize,
-    /// Deterministic fault injection (testing and the `experiments
-    /// faults` harness). Disabled by default; when active, the plan
-    /// forces panics / verifier rejections / scratch corruption at its
-    /// enabled sites and the pipeline must quarantine or degrade — see
-    /// [`crate::faults`] and `docs/robustness.md`.
-    pub faults: FaultPlan,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            threads: 0,
-            batch: 0,
-            spec_depth: usize::MAX,
-            faults: FaultPlan::disabled(),
-        }
-    }
-}
-
-impl PipelineOptions {
-    /// Convenience: a pipeline with a fixed thread count.
-    pub fn with_threads(threads: usize) -> PipelineOptions {
-        PipelineOptions { threads, ..PipelineOptions::default() }
-    }
-
-    /// The worker count this configuration resolves to on this machine
-    /// (`threads == 0` means available parallelism).
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.threads
-        }
-    }
-}
 
 /// Telemetry of one pipeline run (reported by the bench harness).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -408,8 +344,7 @@ struct Prepared {
     /// Whether the optimistic-Δ gate left the pair in play.
     promising: bool,
     /// Speculatively generated merged body (scratch module), present for
-    /// the subject's top [`PipelineOptions::spec_depth`] promising
-    /// candidates.
+    /// the subject's top [`Config::spec_depth`] promising candidates.
     spec: Option<SpeculativeMerge>,
     /// Mutation generations of `(f1, f2)` at schedule time.
     gens: (u64, u64),
@@ -419,939 +354,896 @@ struct Prepared {
     epoch: u64,
 }
 
-/// Aligns one pair under the options' alignment budget. Returns `None`
-/// when the budget refuses the pair.
+/// Prepared attempts of one generation, keyed by `(subject, candidate)`.
+type PreparedMap = HashMap<(FuncId, FuncId), Prepared>;
+
+/// Aligns one pair under the configuration's alignment budget. Returns
+/// `None` when the budget refuses the pair.
 fn align_budgeted(
     module: &Module,
     f1: FuncId,
     f2: FuncId,
     seq1: &[Entry],
     seq2: &[Entry],
-    opts: &FmsaOptions,
+    cfg: &Config,
 ) -> Option<Alignment> {
-    let plan = opts.budget.plan(seq1.len(), seq2.len());
+    let plan = cfg.budget.plan(seq1.len(), seq2.len());
     let ctx = EquivCtx::new(module, module.func(f1), module.func(f2));
     align_with_plan(
         seq1,
         seq2,
         |a, b| ctx.entries_equivalent(a, b),
-        &opts.merge.scoring,
+        &cfg.merge.scoring,
         plan,
-        opts.merge.algorithm == AlignAlgo::Hirschberg,
+        cfg.merge.algorithm == AlignAlgo::Hirschberg,
     )
 }
 
-/// Executes the pending batch of deferred merges (no-op when empty):
-/// thunks the non-deletable originals and re-confirms the removals, all
-/// through one [`RewritePlan::execute`] barrier. The eligibility rules
-/// guarantee the plan rewrites no caller, so the flush commutes with
-/// everything that ran since the merges were accepted; `expected` holds
-/// the dispositions predicted at decision time, re-checked here.
-#[allow(clippy::too_many_arguments)]
-fn flush_batch(
-    module: &mut Module,
-    plan: &mut RewritePlan,
-    expected: &mut Vec<(Disposition, Disposition)>,
-    pool: Option<&rayon::ThreadPool>,
-    stats: &mut FmsaStats,
-    pstats: &mut PipelineStats,
-    call_sites: &mut CallSiteIndex,
-    lin_cache: &mut LinearizationCache,
-    epoch: &mut u64,
-    dirty: &mut bool,
-) {
-    if plan.merges() == 0 {
-        return;
-    }
-    let _span = trace::span("fmsa", "flush_batch");
-    let t0 = Instant::now();
-    let taken = std::mem::take(plan);
-    let expect = std::mem::take(expected);
-    match taken.execute(module, pool) {
-        Ok(results) => {
-            debug_assert_eq!(
-                results.iter().map(|r| (r.first, r.second)).collect::<Vec<_>>(),
-                expect,
-                "deferred dispositions must match the decision-time prediction"
-            );
-            debug_assert!(
-                results.iter().all(|r| r.touched.is_empty()),
-                "batch-eligible merges must not touch any caller"
-            );
-        }
-        Err(_) => {
-            // Should not happen: eligible merges schedule no caller
-            // rewrites and their thunk cast types were pre-interned at
-            // decision time. The merges stay accepted (their bookkeeping
-            // already fed the feedback loop); resynchronize the caches
-            // with whatever state the module is in and invalidate all
-            // speculative work.
-            *call_sites = CallSiteIndex::build(module);
-            *lin_cache = LinearizationCache::new();
-            *epoch += 1;
-            *dirty = true;
-        }
-    }
-    let dt = t0.elapsed();
-    stats.timers.update_calls += dt;
-    pstats.rewrite += dt;
-    pstats.commit_barriers += 1;
+/// Aligns one pair and applies the sound optimistic-Δ gate: the
+/// alignment (`None` when the budget refused it) and whether the pair is
+/// still worth generating code for.
+fn align_and_gate(
+    module: &Module,
+    cm: &CostModel,
+    f1: FuncId,
+    f2: FuncId,
+    seq1: &[Entry],
+    seq2: &[Entry],
+    cfg: &Config,
+) -> (Option<Alignment>, bool) {
+    let alignment = align_budgeted(module, f1, f2, seq1, seq2, cfg);
+    let promising = alignment
+        .as_ref()
+        .is_some_and(|al| optimistic_delta(module, cm, f1, f2, seq1, seq2, al) > 0);
+    (alignment, promising)
 }
 
-/// Runs the FMSA optimization over `module` with the parallel merge
-/// pipeline. Produces a module bit-identical to [`run_fmsa`] for any
-/// `pipe.threads` (see the module docs for why), in substantially less
-/// wall-clock: alignments are computed speculatively on a worker pool,
-/// functions are linearized once per generation instead of once per
-/// attempt, and profitability queries hit an incremental call-site index
-/// instead of rescanning the module.
+/// Runs the FMSA optimization over `module` with the merge pipeline.
+/// Produces a module bit-identical to [`run_fmsa`] for any
+/// [`Config::threads`] (see the module docs for why), in substantially
+/// less wall-clock: alignments are computed speculatively on a worker
+/// pool, functions are linearized once per generation instead of once
+/// per attempt, and profitability queries hit an incremental call-site
+/// index instead of rescanning the module.
 ///
-/// Oracle runs ([`FmsaOptions::oracle`]) delegate to the sequential
-/// driver.
-pub fn run_fmsa_pipeline(
-    module: &mut Module,
-    opts: &FmsaOptions,
-    pipe: &PipelineOptions,
-) -> FmsaStats {
-    if opts.oracle {
-        return run_fmsa(module, opts);
+/// Oracle runs ([`Config::oracle`]) delegate to the reference driver.
+pub fn run_fmsa_pipeline(module: &mut Module, cfg: &Config) -> FmsaStats {
+    if cfg.oracle {
+        return run_fmsa(module, cfg);
     }
     let _pass_span = trace::span("fmsa", "pass");
-    let threads = pipe.resolved_threads();
-    let faults = pipe.faults;
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("thread pool");
-    let cm = CostModel::new(opts.arch);
-    let mut stats = FmsaStats { size_before: cm.module_size(module), ..FmsaStats::default() };
-    let mut pstats = PipelineStats { threads, ..PipelineStats::default() };
+    let mut driver = Driver::new(module, cfg);
+    while !driver.worklist.is_empty() {
+        driver.generation(module);
+    }
+    driver.finish(module)
+}
 
-    // Seed fingerprints and the candidate-search index with the exact
-    // same helper as the sequential driver (part of the bit-identity
-    // guarantee).
-    let SeededPass { mut fingerprints, mut index, mut worklist, mut live } =
-        seed_pass(module, opts, &mut stats.timers, (threads > 1).then_some(&pool));
+/// The pipeline's state across generations: the seeded pass (index,
+/// fingerprints, worklist, live set), the caches that let the commit
+/// stage re-validate speculative work, the run statistics, and the
+/// generation's pending batch of deferred merges.
+struct Driver<'c> {
+    cfg: &'c Config,
+    cm: CostModel,
+    threads: usize,
+    pool: rayon::ThreadPool,
+    /// Subjects scheduled per generation (`0` = whole frontier).
+    batch: usize,
+    fingerprints: HashMap<FuncId, Fingerprint>,
+    index: Box<dyn CandidateSearch>,
+    worklist: VecDeque<FuncId>,
+    live: HashSet<FuncId>,
+    lin_cache: LinearizationCache,
+    call_sites: CallSiteIndex,
+    /// Per-function mutation generations: a prepared attempt is reused
+    /// only while both of its functions still have the generation they
+    /// had at schedule time.
+    gens: HashMap<FuncId, u64>,
+    /// Global invalidation epoch, bumped by [`Driver::resync`].
+    epoch: u64,
+    /// Set by the first commit of a generation: from then on the index
+    /// may answer differently than it did at schedule time, so candidate
+    /// lists are re-queried (exactly what the reference driver would see
+    /// at this point of the worklist).
+    dirty: bool,
+    /// Deferred call-graph work of the generation's batch-eligible
+    /// merges (thunk bodies, removal confirmation), executed through one
+    /// barrier by [`Driver::flush`].
+    plan: RewritePlan,
+    /// The dispositions predicted for `plan`'s merges at decision time.
+    pending: Vec<(Disposition, Disposition)>,
+    stats: FmsaStats,
+    pstats: PipelineStats,
+}
 
-    // Pipeline-only state: the linearization cache, the incremental
-    // call-site index, and per-function mutation generations used to
-    // re-validate speculative work.
-    let mut lin_cache = LinearizationCache::new();
-    let mut call_sites = CallSiteIndex::build(module);
-    let mut gens: HashMap<FuncId, u64> = HashMap::new();
-    let mut epoch: u64 = 0;
-    let gen_of = |gens: &HashMap<FuncId, u64>, f: FuncId| gens.get(&f).copied().unwrap_or(0);
-
-    // Speculative codegen holds one scratch module per prepared promising
-    // pair until the commit stage consumes (or discards) it; an unbounded
-    // generation over a multi-thousand-subject frontier would pin tens of
-    // thousands of them at once. When the user leaves `batch` at 0, bound
-    // the generation while speculating — batching is decision-neutral
-    // (property-tested), it only trades barrier count for peak memory.
-    const SPEC_DEFAULT_BATCH: usize = 256;
-    let batch = if pipe.batch == 0 && threads > 1 && pipe.spec_depth > 0 {
-        SPEC_DEFAULT_BATCH
-    } else {
-        pipe.batch
-    };
-
-    while !worklist.is_empty() {
-        pstats.generations += 1;
-        let _gen_span = trace::span_with("fmsa", "generation", || {
-            vec![("gen", pstats.generations.to_string())]
-        });
-        // ---------------------------------------------------- schedule
-        let take = if batch == 0 { worklist.len() } else { batch.min(worklist.len()) };
-        let mut subjects = Vec::with_capacity(take);
-        for _ in 0..take {
-            let f = worklist.pop_front().expect("worklist non-empty");
-            if live.contains(&f) && module.is_live(f) {
-                subjects.push(f);
-            }
+impl<'c> Driver<'c> {
+    fn new(module: &mut Module, cfg: &'c Config) -> Driver<'c> {
+        let threads = cfg.resolved_threads();
+        let pool =
+            rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("thread pool");
+        let cm = CostModel::new(cfg.arch);
+        let mut stats = FmsaStats { size_before: cm.module_size(module), ..FmsaStats::default() };
+        // Seed fingerprints and the candidate-search index with the exact
+        // same helper as the reference driver (part of the bit-identity
+        // guarantee).
+        let SeededPass { fingerprints, index, worklist, live } =
+            seed_pass(module, cfg, &mut stats.timers, (threads > 1).then_some(&pool));
+        // Speculative codegen holds one scratch module per prepared
+        // promising pair until the commit stage consumes (or discards)
+        // it; an unbounded generation over a multi-thousand-subject
+        // frontier would pin tens of thousands of them at once. When the
+        // user leaves `batch` at 0, bound the generation while
+        // speculating — batching is decision-neutral (property-tested),
+        // it only trades barrier count for peak memory.
+        const SPEC_DEFAULT_BATCH: usize = 256;
+        let batch = if cfg.batch == 0 && threads > 1 && cfg.spec_depth > 0 {
+            SPEC_DEFAULT_BATCH
+        } else {
+            cfg.batch
+        };
+        Driver {
+            cfg,
+            cm,
+            threads,
+            pool,
+            batch,
+            fingerprints,
+            index,
+            worklist,
+            live,
+            lin_cache: LinearizationCache::new(),
+            call_sites: CallSiteIndex::build(module),
+            gens: HashMap::new(),
+            epoch: 0,
+            dirty: false,
+            plan: RewritePlan::new(),
+            pending: Vec::new(),
+            stats,
+            pstats: PipelineStats { threads, ..PipelineStats::default() },
         }
+    }
+
+    /// The worker pool, or `None` at one thread: single-threaded runs
+    /// execute every parallel phase inline, with no pool handoff.
+    fn pool(&self) -> Option<&rayon::ThreadPool> {
+        (self.threads > 1).then_some(&self.pool)
+    }
+
+    fn gen_of(&self, f: FuncId) -> u64 {
+        self.gens.get(&f).copied().unwrap_or(0)
+    }
+
+    fn finish(mut self, module: &Module) -> FmsaStats {
+        self.stats.size_after = self.cm.module_size(module);
+        self.stats.pipeline = Some(self.pstats);
+        self.stats
+    }
+
+    /// One schedule → prepare → commit generation over the front of the
+    /// worklist.
+    fn generation(&mut self, module: &mut Module) {
+        self.pstats.generations += 1;
+        let _gen_span = trace::span_with("fmsa", "generation", || {
+            vec![("gen", self.pstats.generations.to_string())]
+        });
+        let take =
+            if self.batch == 0 { self.worklist.len() } else { self.batch.min(self.worklist.len()) };
+        let live = &self.live;
+        let subjects: Vec<FuncId> = self
+            .worklist
+            .drain(..take)
+            .filter(|&f| live.contains(&f) && module.is_live(f))
+            .collect();
         if subjects.is_empty() {
-            continue;
+            return;
         }
         // Freeze the type store while the module is quiescent: every
         // scratch module the speculative wave builds then shares the
         // store's frozen prefix by reference (copy-on-write) instead of
         // deep-copying it per speculation. Invisible to interning
         // semantics (ids, dedupe, order), so bit-identity is unaffected.
-        if threads > 1 && pipe.spec_depth > 0 {
+        if self.threads > 1 && self.cfg.spec_depth > 0 {
             module.types.freeze();
         }
-        let sched_span = trace::span("fmsa", "schedule");
+        let scheduled = self.schedule(&subjects);
+        let mut prepared =
+            if self.threads > 1 { self.prepare(module, &scheduled) } else { PreparedMap::new() };
+        self.commit(module, scheduled, &mut prepared);
+    }
+
+    /// Queries every subject's top candidates against the read-only index.
+    fn schedule(&mut self, subjects: &[FuncId]) -> Vec<(FuncId, Vec<Candidate>)> {
+        let _sched_span = trace::span("fmsa", "schedule");
         let t0 = Instant::now();
-        let scheduled: Vec<(FuncId, Vec<Candidate>)> = {
-            // Queries only read the index and the fingerprint map
-            // (`CandidateSearch` is `Send + Sync` for exactly this), and
-            // `par_map` returns results in input order, so parallel
-            // scheduling is candidate-for-candidate identical to the
-            // serial loop. At one thread `par_map` runs inline.
-            let shared_index: &dyn crate::search::CandidateSearch = index.as_ref();
-            let fps = &fingerprints;
-            let query_cpu = AtomicU64::new(0);
-            let out = pool.par_map(&subjects, |_, &f| {
-                let _s = trace::span("fmsa", "query");
-                let t = Instant::now();
-                let cands =
-                    shared_index.candidates(f, &fps[&f], fps, opts.threshold, opts.min_similarity);
-                query_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                (f, cands)
-            });
-            pstats.schedule_cpu += Duration::from_nanos(query_cpu.into_inner());
-            out
-        };
+        // Queries only read the index and the fingerprint map
+        // (`CandidateSearch` is `Send + Sync` for exactly this), and
+        // `par_map` returns results in input order, so parallel
+        // scheduling is candidate-for-candidate identical to the serial
+        // loop. At one thread `par_map` runs inline.
+        let (index, fps, cfg) = (self.index.as_ref(), &self.fingerprints, self.cfg);
+        let query_cpu = AtomicU64::new(0);
+        let scheduled = self.pool.par_map(subjects, |_, &f| {
+            let _s = trace::span("fmsa", "query");
+            let t = Instant::now();
+            let cands = index.candidates(f, &fps[&f], fps, cfg.threshold, cfg.min_similarity);
+            query_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            (f, cands)
+        });
+        self.pstats.schedule_cpu += Duration::from_nanos(query_cpu.into_inner());
         let dt = t0.elapsed();
-        stats.timers.ranking += dt;
-        pstats.schedule += dt;
-        pstats.schedule_query += dt;
-        drop(sched_span);
+        self.stats.timers.ranking += dt;
+        self.pstats.schedule += dt;
+        self.pstats.schedule_query += dt;
+        scheduled
+    }
 
-        // ----------------------------------------------------- prepare
-        let mut prepared: HashMap<(FuncId, FuncId), Prepared> = HashMap::new();
-        if threads > 1 {
-            let _prep_span = trace::span("fmsa", "prepare");
-            let mut jobs: Vec<(FuncId, FuncId)> = Vec::new();
-            let mut seen: HashSet<(FuncId, FuncId)> = HashSet::new();
-            for (f1, cands) in &scheduled {
-                for c in cands {
-                    if seen.insert((*f1, c.func)) {
-                        jobs.push((*f1, c.func));
-                    }
-                }
-            }
-            let t0 = Instant::now();
-            let mut lin_funcs: Vec<FuncId> = Vec::with_capacity(jobs.len() * 2);
-            for &(f1, f2) in &jobs {
-                lin_funcs.push(f1);
-                lin_funcs.push(f2);
-            }
-            pstats.schedule_cpu += lin_cache.prefill(module, &lin_funcs, &pool);
-            let dt = t0.elapsed();
-            stats.timers.linearization += dt;
-            pstats.schedule += dt;
-            pstats.schedule_prefill += dt;
-            let t0 = Instant::now();
-            let frozen: &Module = module;
-            let cache: &LinearizationCache = &lin_cache;
-            // Fault boundary: a panicking align worker must not take the
-            // scope down (the stand-in pool rethrows at join). A panicked
-            // pair simply stays out of `prepared`; the commit stage's
-            // inline retry is the authoritative attempt, so the
-            // quarantine decision is made there, identically at every
-            // thread count.
-            let align_cpu = AtomicU64::new(0);
-            let results = pool.par_map(&jobs, |_, &(f1, f2)| {
-                let _s = trace::span("fmsa", "align");
-                let t = Instant::now();
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    let seq1 = cache.cached(f1).expect("pre-filled");
-                    let seq2 = cache.cached(f2).expect("pre-filled");
-                    let (n1, n2) = (&frozen.func(f1).name, &frozen.func(f2).name);
-                    if faults.fires(FaultSite::Align, n1, n2) {
-                        panic!("injected fault: align {n1} {n2}");
-                    }
-                    let alignment = align_budgeted(frozen, f1, f2, &seq1, &seq2, opts);
-                    let promising = alignment.as_ref().is_some_and(|al| {
-                        optimistic_delta(frozen, &cm, f1, f2, &seq1, &seq2, al) > 0
-                    });
-                    (alignment, promising)
-                }))
-                .ok();
-                align_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                r
-            });
-            stats.timers.alignment += t0.elapsed();
-            pstats.prepare += t0.elapsed();
-            pstats.prepare_cpu += Duration::from_nanos(align_cpu.into_inner());
-            for ((f1, f2), result) in jobs.into_iter().zip(results) {
-                let Some((alignment, promising)) = result else {
-                    pstats.panics_caught += 1;
-                    continue;
-                };
-                pstats.prepared += 1;
-                let gens_pair = (gen_of(&gens, f1), gen_of(&gens, f2));
-                prepared.insert(
-                    (f1, f2),
-                    Prepared { alignment, promising, spec: None, gens: gens_pair, epoch },
-                );
-            }
-
-            // Second wave: speculative merge codegen into per-worker
-            // scratch modules, for each subject's top `spec_depth`
-            // promising candidates in rank order. The greedy commit stage
-            // code-generates candidates until the first profitable one, so
-            // every body built here for a pair the commit actually reaches
-            // replaces one sequential codegen with a cheap transplant.
-            if pipe.spec_depth > 0 {
-                let _spec_span = trace::span("fmsa", "spec_codegen");
-                let mut spec_jobs: Vec<(FuncId, FuncId)> = Vec::new();
-                let mut seen: HashSet<(FuncId, FuncId)> = HashSet::new();
-                for (f1, cands) in &scheduled {
-                    let mut picked = 0usize;
-                    for c in cands {
-                        if picked >= pipe.spec_depth {
-                            break;
-                        }
-                        let key = (*f1, c.func);
-                        let Some(p) = prepared.get(&key) else { continue };
-                        if p.promising && p.alignment.is_some() && seen.insert(key) {
-                            spec_jobs.push(key);
-                            picked += 1;
-                        }
-                    }
-                }
-                let t0 = Instant::now();
-                let frozen: &Module = module;
-                let cache: &LinearizationCache = &lin_cache;
-                let snapshot: &HashMap<(FuncId, FuncId), Prepared> = &prepared;
-                // Fault boundary: speculative work is redundant by
-                // construction (commit can always regenerate inline), so
-                // a panicked or poisoned build degrades to `None` — the
-                // fallback path — and never decides a quarantine.
-                let spec_cpu = AtomicU64::new(0);
-                let bodies = pool.par_map(&spec_jobs, |_, &(f1, f2)| {
-                    let _s = trace::span("fmsa", "speculate");
-                    let t = Instant::now();
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        let seq1 = cache.cached(f1).expect("pre-filled");
-                        let seq2 = cache.cached(f2).expect("pre-filled");
-                        let (n1, n2) = (&frozen.func(f1).name, &frozen.func(f2).name);
-                        if faults.fires(FaultSite::Codegen, n1, n2) {
-                            panic!("injected fault: codegen {n1} {n2}");
-                        }
-                        let alignment = snapshot[&(f1, f2)]
-                            .alignment
-                            .clone()
-                            .expect("speculation only targets aligned pairs");
-                        let mut body =
-                            speculate_merge(frozen, f1, f2, &seq1, &seq2, alignment, &opts.merge)
-                                .ok();
-                        if let Some(b) = body.as_mut() {
-                            if faults.fires(FaultSite::ScratchPoison, n1, n2) {
-                                b.poison_scratch();
-                            }
-                        }
-                        body
-                    }))
-                    .ok();
-                    spec_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    r
-                });
-                stats.timers.codegen += t0.elapsed();
-                pstats.prepare += t0.elapsed();
-                pstats.spec_codegen += t0.elapsed();
-                pstats.prepare_cpu += Duration::from_nanos(spec_cpu.into_inner());
-                for (key, body) in spec_jobs.into_iter().zip(bodies) {
-                    let body = match body {
-                        Some(b) => b,
-                        None => {
-                            pstats.panics_caught += 1;
-                            None
-                        }
-                    };
-                    if let Some(b) = &body {
-                        pstats.spec_built += 1;
-                        let setup = b.scratch_setup();
-                        if setup.is_fully_shared() {
-                            pstats.scratch_cow_shared += 1;
-                        } else {
-                            pstats.scratch_cloned += 1;
-                        }
-                        pstats.scratch_suffix_types += b.suffix_types();
-                        pstats.scratch_bytes_avoided += setup.bytes_avoided();
-                    }
-                    // A build error is left as `None`: commit will replay
-                    // the identical failure through direct codegen.
-                    prepared.get_mut(&key).expect("prepared above").spec = body;
+    /// The parallel prepare stage (multi-threaded runs only): aligns and
+    /// gates every scheduled pair, then speculatively generates code for
+    /// each subject's top promising candidates.
+    fn prepare(&mut self, module: &Module, scheduled: &[(FuncId, Vec<Candidate>)]) -> PreparedMap {
+        let _prep_span = trace::span("fmsa", "prepare");
+        let (cfg, cm, faults) = (self.cfg, &self.cm, self.cfg.faults);
+        let mut jobs: Vec<(FuncId, FuncId)> = Vec::new();
+        let mut seen: HashSet<(FuncId, FuncId)> = HashSet::new();
+        for (f1, cands) in scheduled {
+            for c in cands {
+                if seen.insert((*f1, c.func)) {
+                    jobs.push((*f1, c.func));
                 }
             }
         }
+        let t0 = Instant::now();
+        let lin_funcs: Vec<FuncId> = jobs.iter().flat_map(|&(f1, f2)| [f1, f2]).collect();
+        self.pstats.schedule_cpu += self.lin_cache.prefill(module, &lin_funcs, &self.pool);
+        let dt = t0.elapsed();
+        self.stats.timers.linearization += dt;
+        self.pstats.schedule += dt;
+        self.pstats.schedule_prefill += dt;
+        let t0 = Instant::now();
+        let cache = &self.lin_cache;
+        // Fault boundary: a panicking align worker must not take the
+        // scope down (the stand-in pool rethrows at join). A panicked
+        // pair simply stays out of `prepared`; the commit stage's inline
+        // retry is the authoritative attempt, so the quarantine decision
+        // is made there, identically at every thread count.
+        let align_cpu = AtomicU64::new(0);
+        let results = self.pool.par_map(&jobs, |_, &(f1, f2)| {
+            let _s = trace::span("fmsa", "align");
+            let t = Instant::now();
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                let seq1 = cache.cached(f1).expect("pre-filled");
+                let seq2 = cache.cached(f2).expect("pre-filled");
+                let (n1, n2) = (&module.func(f1).name, &module.func(f2).name);
+                if faults.fires(FaultSite::Align, n1, n2) {
+                    panic!("injected fault: align {n1} {n2}");
+                }
+                align_and_gate(module, cm, f1, f2, &seq1, &seq2, cfg)
+            }))
+            .ok();
+            align_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            r
+        });
+        self.stats.timers.alignment += t0.elapsed();
+        self.pstats.prepare += t0.elapsed();
+        self.pstats.prepare_cpu += Duration::from_nanos(align_cpu.into_inner());
+        let mut prepared = PreparedMap::new();
+        for ((f1, f2), result) in jobs.into_iter().zip(results) {
+            let Some((alignment, promising)) = result else {
+                self.pstats.panics_caught += 1;
+                continue;
+            };
+            self.pstats.prepared += 1;
+            let gens = (self.gen_of(f1), self.gen_of(f2));
+            prepared.insert(
+                (f1, f2),
+                Prepared { alignment, promising, spec: None, gens, epoch: self.epoch },
+            );
+        }
+        if cfg.spec_depth > 0 {
+            self.speculate(module, scheduled, &mut prepared);
+        }
+        prepared
+    }
 
-        // ------------------------------------------------------ commit
-        // `dirty` flips on the first commit of the generation: from then
-        // on the index may answer differently than it did at schedule
-        // time, so candidate lists are re-queried (exactly what the
-        // sequential driver would see at this point of the worklist).
-        let commit_span = trace::span("fmsa", "commit");
+    /// Second prepare wave: speculative merge codegen into per-worker
+    /// scratch modules, for each subject's top `spec_depth` promising
+    /// candidates in rank order. The greedy commit stage code-generates
+    /// candidates until the first profitable one, so every body built
+    /// here for a pair the commit actually reaches replaces one
+    /// sequential codegen with a cheap transplant.
+    fn speculate(
+        &mut self,
+        module: &Module,
+        scheduled: &[(FuncId, Vec<Candidate>)],
+        prepared: &mut PreparedMap,
+    ) {
+        let _spec_span = trace::span("fmsa", "spec_codegen");
+        let (cfg, faults) = (self.cfg, self.cfg.faults);
+        let mut spec_jobs: Vec<(FuncId, FuncId)> = Vec::new();
+        let mut seen: HashSet<(FuncId, FuncId)> = HashSet::new();
+        for (f1, cands) in scheduled {
+            let mut picked = 0usize;
+            for c in cands {
+                if picked >= cfg.spec_depth {
+                    break;
+                }
+                let key = (*f1, c.func);
+                let Some(p) = prepared.get(&key) else { continue };
+                if p.promising && p.alignment.is_some() && seen.insert(key) {
+                    spec_jobs.push(key);
+                    picked += 1;
+                }
+            }
+        }
+        let t0 = Instant::now();
+        let cache = &self.lin_cache;
+        let snapshot: &PreparedMap = prepared;
+        // Fault boundary: speculative work is redundant by construction
+        // (commit can always regenerate inline), so a panicked or
+        // poisoned build degrades to `None` — the fallback path — and
+        // never decides a quarantine.
+        let spec_cpu = AtomicU64::new(0);
+        let bodies = self.pool.par_map(&spec_jobs, |_, &(f1, f2)| {
+            let _s = trace::span("fmsa", "speculate");
+            let t = Instant::now();
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                let seq1 = cache.cached(f1).expect("pre-filled");
+                let seq2 = cache.cached(f2).expect("pre-filled");
+                let (n1, n2) = (&module.func(f1).name, &module.func(f2).name);
+                if faults.fires(FaultSite::Codegen, n1, n2) {
+                    panic!("injected fault: codegen {n1} {n2}");
+                }
+                let alignment = snapshot[&(f1, f2)]
+                    .alignment
+                    .clone()
+                    .expect("speculation only targets aligned pairs");
+                let mut body =
+                    speculate_merge(module, f1, f2, &seq1, &seq2, alignment, &cfg.merge).ok();
+                if let Some(b) = body.as_mut() {
+                    if faults.fires(FaultSite::ScratchPoison, n1, n2) {
+                        b.poison_scratch();
+                    }
+                }
+                body
+            }))
+            .ok();
+            spec_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            r
+        });
+        self.stats.timers.codegen += t0.elapsed();
+        self.pstats.prepare += t0.elapsed();
+        self.pstats.spec_codegen += t0.elapsed();
+        self.pstats.prepare_cpu += Duration::from_nanos(spec_cpu.into_inner());
+        for (key, body) in spec_jobs.into_iter().zip(bodies) {
+            let Some(body) = body else {
+                self.pstats.panics_caught += 1;
+                continue;
+            };
+            if let Some(b) = &body {
+                self.pstats.spec_built += 1;
+                let setup = b.scratch_setup();
+                if setup.is_fully_shared() {
+                    self.pstats.scratch_cow_shared += 1;
+                } else {
+                    self.pstats.scratch_cloned += 1;
+                }
+                self.pstats.scratch_suffix_types += b.suffix_types();
+                self.pstats.scratch_bytes_avoided += setup.bytes_avoided();
+            }
+            // A build error is left as `None`: commit will replay the
+            // identical failure through direct codegen.
+            prepared.get_mut(&key).expect("prepared above").spec = body;
+        }
+    }
+
+    /// The sequential commit stage: visits the generation's subjects in
+    /// worklist order and runs the greedy exploration over each one's
+    /// candidates, then flushes the generation's batch.
+    fn commit(
+        &mut self,
+        module: &mut Module,
+        scheduled: Vec<(FuncId, Vec<Candidate>)>,
+        prepared: &mut PreparedMap,
+    ) {
+        let _commit_span = trace::span("fmsa", "commit");
         let t_commit = Instant::now();
-        let mut dirty = false;
-        // Deferred call-graph work of the generation's batch-eligible
-        // merges (thunk bodies, removal confirmation), executed through
-        // one barrier by `flush_batch` — at generation end, or earlier
-        // when an ineligible merge must commit immediately.
-        let mut plan = RewritePlan::new();
-        let mut pending_expect: Vec<(Disposition, Disposition)> = Vec::new();
+        self.dirty = false;
         for (f1, scheduled_cands) in scheduled {
-            if !live.contains(&f1) || !module.is_live(f1) {
+            if !self.live.contains(&f1) || !module.is_live(f1) {
                 continue;
             }
-            let cands = if dirty {
+            let cands = if self.dirty {
                 let t0 = Instant::now();
-                let c = index.candidates(
+                let c = self.index.candidates(
                     f1,
-                    &fingerprints[&f1],
-                    &fingerprints,
-                    opts.threshold,
-                    opts.min_similarity,
+                    &self.fingerprints[&f1],
+                    &self.fingerprints,
+                    self.cfg.threshold,
+                    self.cfg.min_similarity,
                 );
-                stats.timers.ranking += t0.elapsed();
+                self.stats.timers.ranking += t0.elapsed();
                 c
             } else {
                 scheduled_cands
             };
-
             for (pos, cand) in cands.iter().enumerate() {
-                stats.attempted += 1;
-                let t0 = Instant::now();
-                let seq1 = lin_cache.get(module, f1);
-                let seq2 = lin_cache.get(module, cand.func);
-                stats.timers.linearization += t0.elapsed();
-                let gens_now = (gen_of(&gens, f1), gen_of(&gens, cand.func));
-                // Names key the fault plan and the quarantine log: they
-                // are stable across thread counts, unlike ids-at-commit.
-                let n1 = module.func(f1).name.clone();
-                let n2 = module.func(cand.func).name.clone();
-                let _att_span = trace::span_with("fmsa", "merge_attempt", || {
-                    vec![("subject", n1.clone()), ("candidate", n2.clone())]
-                });
-                // Decision-log state for this attempt: every exit path
-                // below resolves it to exactly one outcome.
-                let rec = |align_score: Option<i64>,
-                           delta: Option<i64>,
-                           outcome: DecisionOutcome| DecisionRecord {
-                    subject: n1.clone(),
-                    candidate: n2.clone(),
-                    similarity: cand.similarity,
-                    rank: (pos + 1) as u32,
-                    align_score,
-                    delta,
-                    outcome,
-                };
-                // Did this attempt discard a speculative body (conflict /
-                // fallback)? A merge that still commits is then reported
-                // as `conflict-fallback` instead of plain `merged`.
-                let mut att_fallback = false;
-                let mut spec_body: Option<SpeculativeMerge> = None;
-                let (alignment, promising) = match prepared.get_mut(&(f1, cand.func)) {
-                    Some(p) if p.gens == gens_now && p.epoch == epoch => {
-                        pstats.reused += 1;
-                        spec_body = p.spec.take();
-                        (p.alignment.clone(), p.promising)
-                    }
-                    stale => {
-                        if threads > 1 {
-                            pstats.recomputed += 1;
-                        }
-                        // Conflict rule: an input mutated since scheduling
-                        // (or the epoch advanced), so the scratch body was
-                        // built against a state the module no longer has.
-                        // Discard and count it here — the recomputed pair
-                        // may be budget- or gate-skipped before reaching
-                        // the codegen point below.
-                        if let Some(p) = stale {
-                            if p.spec.take().is_some() {
-                                pstats.spec_fallback += 1;
-                                att_fallback = true;
-                            }
-                        }
-                        let t0 = Instant::now();
-                        // Fault boundary: this inline recompute is the
-                        // authoritative alignment (it also runs for pairs
-                        // whose prepare worker panicked), so a panic here
-                        // quarantines the pair — deterministically, since
-                        // nothing on this path depends on thread count.
-                        let recomputed = catch_unwind(AssertUnwindSafe(|| {
-                            if faults.fires(FaultSite::Align, &n1, &n2) {
-                                panic!("injected fault: align {n1} {n2}");
-                            }
-                            let al = align_budgeted(module, f1, cand.func, &seq1, &seq2, opts);
-                            let promising = al.as_ref().is_some_and(|al| {
-                                optimistic_delta(module, &cm, f1, cand.func, &seq1, &seq2, al) > 0
-                            });
-                            (al, promising)
-                        }));
-                        stats.timers.alignment += t0.elapsed();
-                        match recomputed {
-                            Ok(r) => r,
-                            Err(payload) => {
-                                pstats.panics_caught += 1;
-                                if stats.quarantine.push(
-                                    QuarantineStage::Align,
-                                    &n1,
-                                    &n2,
-                                    panic_message(payload.as_ref()),
-                                    faults.seed,
-                                ) {
-                                    pstats.quarantined_align += 1;
-                                }
-                                stats.decisions.push(rec(None, None, DecisionOutcome::Quarantined));
-                                continue;
-                            }
-                        }
-                    }
-                };
-                let align_score = alignment.as_ref().map(|al| al.score);
-                let Some(alignment) = alignment else {
-                    pstats.budget_skipped += 1;
-                    stats.decisions.push(rec(None, None, DecisionOutcome::BudgetSkipped));
-                    continue;
-                };
-                if !promising {
-                    // Sound gate: the optimistic Δ bound proves the real Δ
-                    // would be ≤ 0, so the sequential driver would have
-                    // generated and discarded this merge. Skip codegen.
-                    pstats.gate_skipped += 1;
-                    stats.decisions.push(rec(align_score, None, DecisionOutcome::GateSkipped));
-                    continue;
-                }
-                let t0 = Instant::now();
-                // An injected verifier fault must produce the same
-                // quarantine at every thread count, so it is decided on
-                // the inline path below (the only path all thread counts
-                // share); a pending speculative body is discarded first.
-                let verify_inject = faults.fires(FaultSite::Verify, &n1, &n2);
-                if verify_inject {
-                    if let Some(spec) = spec_body.take() {
-                        spec.discard_into(module);
-                        pstats.spec_fallback += 1;
-                        att_fallback = true;
-                    }
-                }
-                // A speculative body built on another thread is only
-                // trusted after re-verifying it in its scratch module —
-                // a corrupted build must degrade to inline codegen (the
-                // sequential result), never reach the main module.
-                if spec_body.as_ref().is_some_and(|spec| !spec.body_valid()) {
-                    if let Some(spec) = spec_body.take() {
-                        spec.discard_into(module);
-                    }
-                    pstats.poisoned_scratch += 1;
-                    pstats.spec_fallback += 1;
-                    att_fallback = true;
-                }
-                // `outcome`: a merged function present in the module plus
-                // its profitability, or `None` when the attempt is over
-                // (codegen failure, a quarantined pair, or a speculative
-                // body that evaluated unprofitable and was discarded
-                // without a transplant).
-                let mut att_early: Option<DecisionRecord> = None;
-                let outcome: Option<(MergeInfo, ProfitReport)> = 'attempt: {
-                    if let Some(spec) = spec_body {
-                        // Profitability is decided on the scratch body;
-                        // only profitable merges pay for a transplant.
-                        let report = evaluate_speculative(module, &cm, &spec, &call_sites);
-                        if !report.is_profitable() {
-                            // The sequential driver would have generated
-                            // this body and discarded it; replay its type
-                            // interning and reject the attempt.
-                            spec.discard_into(module);
-                            pstats.spec_used += 1;
-                            att_early = Some(rec(
-                                align_score,
-                                Some(report.delta),
-                                DecisionOutcome::Unprofitable,
-                            ));
-                            break 'attempt None;
-                        }
-                        let t_tr = Instant::now();
-                        match commit_speculative(module, spec, &opts.merge) {
-                            Ok(info) => {
-                                pstats.transplant += t_tr.elapsed();
-                                let errs = fmsa_ir::verify_function(module, info.merged);
-                                if errs.is_empty() {
-                                    pstats.spec_used += 1;
-                                    pstats.spec_committed += 1;
-                                    break 'attempt Some((info, report));
-                                }
-                                // Invalid transplant: the sequential
-                                // driver would have built this body inline
-                                // successfully, so degrade (no quarantine)
-                                // and regenerate below.
-                                module.remove_function(info.merged);
-                                pstats.poisoned_scratch += 1;
-                                pstats.spec_fallback += 1;
-                                att_fallback = true;
-                            }
-                            Err(_) => {
-                                // Unresolvable cross-module reference:
-                                // regenerate inline below.
-                                pstats.spec_fallback += 1;
-                                att_fallback = true;
-                            }
-                        }
-                    }
-                    // Authoritative inline codegen, behind a fault
-                    // boundary: this path runs identically at every
-                    // thread count, so its panics (and verifier
-                    // rejections of its output) decide quarantine.
-                    let arena_mark = module.func_arena_len();
-                    let built = catch_unwind(AssertUnwindSafe(|| {
-                        if faults.fires(FaultSite::Codegen, &n1, &n2) {
-                            panic!("injected fault: codegen {n1} {n2}");
-                        }
-                        merge_pair_aligned(
-                            module,
-                            f1,
-                            cand.func,
-                            seq1.to_vec(),
-                            seq2.to_vec(),
-                            alignment,
-                            &opts.merge,
-                        )
-                    }));
-                    let info = match built {
-                        Ok(Ok(info)) => info,
-                        Ok(Err(_)) => {
-                            att_early = Some(rec(align_score, None, DecisionOutcome::Failed));
-                            break 'attempt None;
-                        }
-                        Err(payload) => {
-                            // A panic mid-codegen can leave partially
-                            // built functions behind; sweep everything
-                            // created since the snapshot.
-                            for idx in arena_mark..module.func_arena_len() {
-                                let id = FuncId::from_index(idx);
-                                if module.is_live(id) {
-                                    module.remove_function(id);
-                                }
-                            }
-                            pstats.panics_caught += 1;
-                            if stats.quarantine.push(
-                                QuarantineStage::Codegen,
-                                &n1,
-                                &n2,
-                                panic_message(payload.as_ref()),
-                                faults.seed,
-                            ) {
-                                pstats.quarantined_codegen += 1;
-                            }
-                            att_early = Some(rec(align_score, None, DecisionOutcome::Quarantined));
-                            break 'attempt None;
-                        }
-                    };
-                    // Never commit an unverified merged body: a rejection
-                    // here is a real bug in codegen (or an injected
-                    // verifier fault), so the pair is quarantined.
-                    let errs = fmsa_ir::verify_function(module, info.merged);
-                    if verify_inject || !errs.is_empty() {
-                        let reason = if verify_inject {
-                            format!("injected fault: verify {n1} {n2}")
-                        } else {
-                            errs[0].to_string()
-                        };
-                        module.remove_function(info.merged);
-                        if stats.quarantine.push(
-                            QuarantineStage::Verify,
-                            &n1,
-                            &n2,
-                            reason,
-                            faults.seed,
-                        ) {
-                            pstats.quarantined_verify += 1;
-                        }
-                        att_early = Some(rec(align_score, None, DecisionOutcome::Quarantined));
-                        break 'attempt None;
-                    }
-                    let report = evaluate_indexed(module, &cm, &info, &call_sites);
-                    Some((info, report))
-                };
-                stats.timers.codegen += t0.elapsed();
-                pstats.commit_codegen += t0.elapsed();
-                match outcome {
-                    Some((info, report)) if report.is_profitable() => {
-                        let pool_ref = (threads > 1).then_some(&pool);
-                        // Batch eligibility — the merge's call-graph
-                        // update must provably interact with nothing else
-                        // in the generation: every deletable side has
-                        // zero callers to rewrite (after the serial
-                        // loop's own filters), neither side is a merged
-                        // function still pending in the batch, and the
-                        // merged body is already final (it calls neither
-                        // its own originals nor anything the batch
-                        // retired). Such a commit touches no third
-                        // function, so its bookkeeping can run eagerly
-                        // and its body work can wait for the flush.
-                        let deletable = [can_delete(module, f1), can_delete(module, info.f2)];
-                        let callers_clear = [(f1, deletable[0]), (info.f2, deletable[1])]
-                            .into_iter()
-                            .all(|(func, del)| {
-                                !del || call_sites.callers_of(func).into_iter().all(|g| {
-                                    g == func || plan.retired().contains(&g) || !module.is_live(g)
-                                })
-                            });
-                        let defer = callers_clear
-                            && !plan.merged_funcs().contains(&f1)
-                            && !plan.merged_funcs().contains(&info.f2)
-                            && {
-                                let merged_out = outgoing_calls(module.func(info.merged));
-                                !merged_out.contains_key(&f1)
-                                    && !merged_out.contains_key(&info.f2)
-                                    && merged_out.keys().all(|c| !plan.retired().contains(c))
-                            };
-                        if defer {
-                            let t0 = Instant::now();
-                            let dispositions = deletable.map(|d| {
-                                if d {
-                                    Disposition::Deleted
-                                } else {
-                                    Disposition::Thunk
-                                }
-                            });
-                            // Serial commit would intern the thunk-side
-                            // cast container types right now; replay that
-                            // eagerly so the deferred execution leaves
-                            // the type store bit-identical.
-                            if prepare_commit_casts(module, &info).is_err() {
-                                // Mirror the immediate path's failed
-                                // commit: drop the merge, resynchronize,
-                                // abandon the subject.
-                                flush_batch(
-                                    module,
-                                    &mut plan,
-                                    &mut pending_expect,
-                                    pool_ref,
-                                    &mut stats,
-                                    &mut pstats,
-                                    &mut call_sites,
-                                    &mut lin_cache,
-                                    &mut epoch,
-                                    &mut dirty,
-                                );
-                                module.remove_function(info.merged);
-                                stats.decisions.push(rec(
-                                    align_score,
-                                    Some(report.delta),
-                                    DecisionOutcome::Failed,
-                                ));
-                                call_sites = CallSiteIndex::build(module);
-                                lin_cache = LinearizationCache::new();
-                                epoch += 1;
-                                dirty = true;
-                                break;
-                            }
-                            plan.add_merge(module, &info, &call_sites);
-                            pending_expect.push((dispositions[0], dispositions[1]));
-                            stats.timers.update_calls += t0.elapsed();
-                            pstats.rewrite += t0.elapsed();
-                            pstats.batched_merges += 1;
-                            stats.merges += 1;
-                            stats.rank_positions.push(pos + 1);
-                            stats.decisions.push(rec(
-                                align_score,
-                                Some(report.delta),
-                                if att_fallback {
-                                    DecisionOutcome::ConflictFallback
-                                } else {
-                                    DecisionOutcome::Merged
-                                },
-                            ));
-                            for d in dispositions {
-                                match d {
-                                    Disposition::Deleted => stats.deleted += 1,
-                                    Disposition::Thunk => stats.thunks += 1,
-                                }
-                            }
-                            live.remove(&f1);
-                            live.remove(&info.f2);
-                            fingerprints.remove(&f1);
-                            fingerprints.remove(&info.f2);
-                            index.remove(f1);
-                            index.remove(info.f2);
-                            for (func, disposition) in
-                                [(f1, dispositions[0]), (info.f2, dispositions[1])]
-                            {
-                                lin_cache.invalidate(func);
-                                match disposition {
-                                    Disposition::Deleted => {
-                                        call_sites.remove(func);
-                                        gens.remove(&func);
-                                        // Eager removal keeps liveness
-                                        // and `func_by_name` (merged-name
-                                        // deduplication) identical to the
-                                        // serial driver; the flush's
-                                        // re-removal is a no-op.
-                                        module.remove_function(func);
-                                    }
-                                    Disposition::Thunk => {
-                                        call_sites.set_thunk(func, info.merged);
-                                        *gens.entry(func).or_insert(0) += 1;
-                                    }
-                                }
-                            }
-                            // No caller is touched (that is what the
-                            // eligibility rules guarantee), and the
-                            // merged body is final: its index entry and
-                            // fingerprint are exact now.
-                            call_sites.refresh(module, info.merged);
-                            let t0 = Instant::now();
-                            let merged_fp = Fingerprint::of(module, info.merged);
-                            index.insert(info.merged, &merged_fp);
-                            fingerprints.insert(info.merged, merged_fp);
-                            stats.timers.fingerprinting += t0.elapsed();
-                            live.insert(info.merged);
-                            worklist.push_back(info.merged);
-                            dirty = true;
-                            break; // greedy: first profitable candidate wins
-                        }
-                        // Ineligible: the pending batch precedes this
-                        // merge in serial order, so flush it first, then
-                        // commit through an immediate single-merge plan.
-                        flush_batch(
-                            module,
-                            &mut plan,
-                            &mut pending_expect,
-                            pool_ref,
-                            &mut stats,
-                            &mut pstats,
-                            &mut call_sites,
-                            &mut lin_cache,
-                            &mut epoch,
-                            &mut dirty,
-                        );
-                        pstats.batch_fallback += 1;
-                        let t0 = Instant::now();
-                        // Call-graph update through the partitioned plan:
-                        // callers come from the incremental call-site
-                        // index, disjoint caller partitions rewrite on the
-                        // worker pool. Single-threaded runs execute the
-                        // partitions inline (no pool handoff).
-                        let commit =
-                            match commit_merge_partitioned(module, &info, &call_sites, pool_ref) {
-                                Ok(c) => c,
-                                Err(_) => {
-                                    // Should not happen (guarded by tests).
-                                    // Mirror the sequential driver: drop the
-                                    // merge and abandon this subject. The
-                                    // failed commit may have partially
-                                    // rewritten call sites, a state the
-                                    // per-function generations cannot
-                                    // describe, so resynchronize the caches
-                                    // with the module and invalidate all
-                                    // speculative work.
-                                    module.remove_function(info.merged);
-                                    stats.decisions.push(rec(
-                                        align_score,
-                                        Some(report.delta),
-                                        DecisionOutcome::Failed,
-                                    ));
-                                    call_sites = CallSiteIndex::build(module);
-                                    lin_cache = LinearizationCache::new();
-                                    epoch += 1;
-                                    dirty = true;
-                                    break;
-                                }
-                            };
-                        stats.timers.update_calls += t0.elapsed();
-                        pstats.rewrite += t0.elapsed();
-                        pstats.commit_barriers += 1;
-                        stats.merges += 1;
-                        stats.rank_positions.push(pos + 1);
-                        stats.decisions.push(rec(
-                            align_score,
-                            Some(report.delta),
-                            if att_fallback {
-                                DecisionOutcome::ConflictFallback
-                            } else {
-                                DecisionOutcome::Merged
-                            },
-                        ));
-                        for d in [commit.first, commit.second] {
-                            match d {
-                                Disposition::Deleted => stats.deleted += 1,
-                                Disposition::Thunk => stats.thunks += 1,
-                            }
-                        }
-                        // Retire the originals from the merge pool.
-                        live.remove(&f1);
-                        live.remove(&info.f2);
-                        fingerprints.remove(&f1);
-                        fingerprints.remove(&info.f2);
-                        index.remove(f1);
-                        index.remove(info.f2);
-                        // Maintain the pipeline caches: mutated functions
-                        // get new generations and fresh call-site entries,
-                        // deleted ones leave every structure.
-                        for (func, disposition) in [(f1, commit.first), (info.f2, commit.second)] {
-                            lin_cache.invalidate(func);
-                            match disposition {
-                                Disposition::Deleted => {
-                                    call_sites.remove(func);
-                                    gens.remove(&func);
-                                }
-                                Disposition::Thunk => {
-                                    call_sites.refresh(module, func);
-                                    *gens.entry(func).or_insert(0) += 1;
-                                }
-                            }
-                        }
-                        for &g in &commit.touched {
-                            lin_cache.invalidate(g);
-                            *gens.entry(g).or_insert(0) += 1;
-                            if module.is_live(g) {
-                                call_sites.refresh(module, g);
-                            } else {
-                                call_sites.remove(g);
-                            }
-                        }
-                        call_sites.refresh(module, info.merged);
-                        // Feedback loop: rewritten callers re-enter the
-                        // index with fresh fingerprints, the merged
-                        // function joins the next generation's worklist.
-                        let t0 = Instant::now();
-                        for g in commit.touched {
-                            if live.contains(&g) && module.is_live(g) {
-                                let fp = Fingerprint::of(module, g);
-                                index.insert(g, &fp);
-                                fingerprints.insert(g, fp);
-                            }
-                        }
-                        let merged_fp = Fingerprint::of(module, info.merged);
-                        index.insert(info.merged, &merged_fp);
-                        fingerprints.insert(info.merged, merged_fp);
-                        stats.timers.fingerprinting += t0.elapsed();
-                        live.insert(info.merged);
-                        worklist.push_back(info.merged);
-                        dirty = true;
-                        break; // greedy: first profitable candidate wins
-                    }
-                    Some((info, report)) => {
-                        module.remove_function(info.merged);
-                        stats.decisions.push(rec(
-                            align_score,
-                            Some(report.delta),
-                            DecisionOutcome::Unprofitable,
-                        ));
-                    }
-                    None => {
-                        if let Some(r) = att_early.take() {
-                            stats.decisions.push(r);
-                        }
-                    }
+                if self.attempt(module, f1, pos, cand, prepared) {
+                    break; // greedy: first profitable candidate wins
                 }
             }
         }
         // End-of-generation flush: nothing pends across generations —
         // the next schedule must see final bodies before freezing the
         // type store and handing shared references to the workers.
-        flush_batch(
-            module,
-            &mut plan,
-            &mut pending_expect,
-            (threads > 1).then_some(&pool),
-            &mut stats,
-            &mut pstats,
-            &mut call_sites,
-            &mut lin_cache,
-            &mut epoch,
-            &mut dirty,
-        );
-        let _ = dirty;
-        pstats.commit += t_commit.elapsed();
-        drop(commit_span);
+        self.flush(module);
+        self.pstats.commit += t_commit.elapsed();
     }
 
-    stats.size_after = cm.module_size(module);
-    stats.pipeline = Some(pstats);
-    stats
+    /// Attempts to merge subject `f1` with its `pos`-th candidate,
+    /// replaying the reference driver's decision exactly. Returns `true`
+    /// when exploration of `f1` ends here: a profitable merge was found
+    /// (and committed, or abandoned on a failed commit as the reference
+    /// driver does).
+    fn attempt(
+        &mut self,
+        module: &mut Module,
+        f1: FuncId,
+        pos: usize,
+        cand: &Candidate,
+        prepared: &mut PreparedMap,
+    ) -> bool {
+        let (f2, cfg, faults) = (cand.func, self.cfg, self.cfg.faults);
+        self.stats.attempted += 1;
+        let t0 = Instant::now();
+        let seq1 = self.lin_cache.get(module, f1);
+        let seq2 = self.lin_cache.get(module, f2);
+        self.stats.timers.linearization += t0.elapsed();
+        let gens_now = (self.gen_of(f1), self.gen_of(f2));
+        // Names key the fault plan and the quarantine log: they are
+        // stable across thread counts, unlike ids-at-commit.
+        let n1 = module.func(f1).name.clone();
+        let n2 = module.func(f2).name.clone();
+        let _att_span = trace::span_with("fmsa", "merge_attempt", || {
+            vec![("subject", n1.clone()), ("candidate", n2.clone())]
+        });
+        // Decision-log state for this attempt: every exit path below
+        // resolves it to exactly one outcome.
+        let rec = |align_score: Option<i64>, delta: Option<i64>, outcome: DecisionOutcome| {
+            DecisionRecord {
+                subject: n1.clone(),
+                candidate: n2.clone(),
+                similarity: cand.similarity,
+                rank: (pos + 1) as u32,
+                align_score,
+                delta,
+                outcome,
+            }
+        };
+        // Did this attempt discard a speculative body (conflict /
+        // fallback)? A merge that still commits is then reported as
+        // `conflict-fallback` instead of plain `merged`.
+        let mut att_fallback = false;
+        let mut spec_body: Option<SpeculativeMerge> = None;
+        let (alignment, promising) = match prepared.get_mut(&(f1, f2)) {
+            Some(p) if p.gens == gens_now && p.epoch == self.epoch => {
+                self.pstats.reused += 1;
+                spec_body = p.spec.take();
+                (p.alignment.clone(), p.promising)
+            }
+            stale => {
+                if self.threads > 1 {
+                    self.pstats.recomputed += 1;
+                }
+                // Conflict rule: an input mutated since scheduling (or
+                // the epoch advanced), so the scratch body was built
+                // against a state the module no longer has. Discard and
+                // count it here — the recomputed pair may be budget- or
+                // gate-skipped before reaching the codegen point below.
+                if stale.and_then(|p| p.spec.take()).is_some() {
+                    self.pstats.spec_fallback += 1;
+                    att_fallback = true;
+                }
+                let t0 = Instant::now();
+                // Fault boundary: this inline recompute is the
+                // authoritative alignment (it also runs for pairs whose
+                // prepare worker panicked), so a panic here quarantines
+                // the pair — deterministically, since nothing on this
+                // path depends on thread count.
+                let recomputed = catch_unwind(AssertUnwindSafe(|| {
+                    if faults.fires(FaultSite::Align, &n1, &n2) {
+                        panic!("injected fault: align {n1} {n2}");
+                    }
+                    align_and_gate(module, &self.cm, f1, f2, &seq1, &seq2, cfg)
+                }));
+                self.stats.timers.alignment += t0.elapsed();
+                match recomputed {
+                    Ok(r) => r,
+                    Err(payload) => {
+                        self.pstats.panics_caught += 1;
+                        let reason = panic_message(payload.as_ref());
+                        self.quarantine(QuarantineStage::Align, &n1, &n2, reason);
+                        self.stats.decisions.push(rec(None, None, DecisionOutcome::Quarantined));
+                        return false;
+                    }
+                }
+            }
+        };
+        let align_score = alignment.as_ref().map(|al| al.score);
+        let Some(alignment) = alignment else {
+            self.pstats.budget_skipped += 1;
+            self.stats.decisions.push(rec(None, None, DecisionOutcome::BudgetSkipped));
+            return false;
+        };
+        if !promising {
+            // Sound gate: the optimistic Δ bound proves the real Δ would
+            // be ≤ 0, so the reference driver would have generated and
+            // discarded this merge. Skip codegen.
+            self.pstats.gate_skipped += 1;
+            self.stats.decisions.push(rec(align_score, None, DecisionOutcome::GateSkipped));
+            return false;
+        }
+        let t0 = Instant::now();
+        // An injected verifier fault must produce the same quarantine at
+        // every thread count, so it is decided on the inline path below
+        // (the only path all thread counts share); a pending speculative
+        // body is discarded first. A speculative body built on another
+        // thread is only trusted after re-verifying it in its scratch
+        // module — a corrupted build must degrade to inline codegen (the
+        // sequential result), never reach the main module.
+        let verify_inject = faults.fires(FaultSite::Verify, &n1, &n2);
+        if let Some(spec) = spec_body.take_if(|spec| verify_inject || !spec.body_valid()) {
+            if !verify_inject {
+                self.pstats.poisoned_scratch += 1;
+            }
+            spec.discard_into(module);
+            self.pstats.spec_fallback += 1;
+            att_fallback = true;
+        }
+        // `outcome`: a merged function present in the module plus its
+        // profitability, or `Err` with the attempt's final record when
+        // it is over (codegen failure, a quarantined pair, or a
+        // speculative body that evaluated unprofitable and was discarded
+        // without a transplant).
+        let outcome: Result<(MergeInfo, ProfitReport), DecisionRecord> = 'attempt: {
+            if let Some(spec) = spec_body {
+                // Profitability is decided on the scratch body; only
+                // profitable merges pay for a transplant.
+                let report = evaluate_speculative(module, &self.cm, &spec, &self.call_sites);
+                if !report.is_profitable() {
+                    // The reference driver would have generated this body
+                    // and discarded it; replay its type interning and
+                    // reject the attempt.
+                    spec.discard_into(module);
+                    self.pstats.spec_used += 1;
+                    break 'attempt Err(rec(
+                        align_score,
+                        Some(report.delta),
+                        DecisionOutcome::Unprofitable,
+                    ));
+                }
+                // An unresolvable cross-module reference (`Err`) or an
+                // invalid transplant regenerates inline below: the
+                // reference driver would have built this body inline
+                // successfully, so degrade without quarantine.
+                let t_tr = Instant::now();
+                if let Ok(info) = commit_speculative(module, spec, &cfg.merge) {
+                    self.pstats.transplant += t_tr.elapsed();
+                    if fmsa_ir::verify_function(module, info.merged).is_empty() {
+                        self.pstats.spec_used += 1;
+                        self.pstats.spec_committed += 1;
+                        break 'attempt Ok((info, report));
+                    }
+                    module.remove_function(info.merged);
+                    self.pstats.poisoned_scratch += 1;
+                }
+                self.pstats.spec_fallback += 1;
+                att_fallback = true;
+            }
+            // Authoritative inline codegen, behind a fault boundary: this
+            // path runs identically at every thread count, so its panics
+            // (and verifier rejections of its output) decide quarantine.
+            let arena_mark = module.func_arena_len();
+            let built = catch_unwind(AssertUnwindSafe(|| {
+                if faults.fires(FaultSite::Codegen, &n1, &n2) {
+                    panic!("injected fault: codegen {n1} {n2}");
+                }
+                merge_pair_aligned(
+                    module,
+                    f1,
+                    f2,
+                    seq1.to_vec(),
+                    seq2.to_vec(),
+                    alignment,
+                    &cfg.merge,
+                )
+            }));
+            let info = match built {
+                Ok(Ok(info)) => info,
+                Ok(Err(_)) => break 'attempt Err(rec(align_score, None, DecisionOutcome::Failed)),
+                Err(payload) => {
+                    // A panic mid-codegen can leave partially built
+                    // functions behind; sweep everything created since
+                    // the snapshot.
+                    for idx in arena_mark..module.func_arena_len() {
+                        let id = FuncId::from_index(idx);
+                        if module.is_live(id) {
+                            module.remove_function(id);
+                        }
+                    }
+                    self.pstats.panics_caught += 1;
+                    let reason = panic_message(payload.as_ref());
+                    self.quarantine(QuarantineStage::Codegen, &n1, &n2, reason);
+                    break 'attempt Err(rec(align_score, None, DecisionOutcome::Quarantined));
+                }
+            };
+            // Never commit an unverified merged body: a rejection here is
+            // a real bug in codegen (or an injected verifier fault), so
+            // the pair is quarantined.
+            let errs = fmsa_ir::verify_function(module, info.merged);
+            if verify_inject || !errs.is_empty() {
+                let reason = if verify_inject {
+                    format!("injected fault: verify {n1} {n2}")
+                } else {
+                    errs[0].to_string()
+                };
+                module.remove_function(info.merged);
+                self.quarantine(QuarantineStage::Verify, &n1, &n2, reason);
+                break 'attempt Err(rec(align_score, None, DecisionOutcome::Quarantined));
+            }
+            let report = evaluate_indexed(module, &self.cm, &info, &self.call_sites);
+            Ok((info, report))
+        };
+        self.stats.timers.codegen += t0.elapsed();
+        self.pstats.commit_codegen += t0.elapsed();
+        match outcome {
+            Ok((info, report)) if report.is_profitable() => {
+                let outcome = if att_fallback {
+                    DecisionOutcome::ConflictFallback
+                } else {
+                    DecisionOutcome::Merged
+                };
+                self.accept(
+                    module,
+                    f1,
+                    info,
+                    pos + 1,
+                    rec(align_score, Some(report.delta), outcome),
+                );
+                true
+            }
+            Ok((info, report)) => {
+                module.remove_function(info.merged);
+                let unprofitable = DecisionOutcome::Unprofitable;
+                self.stats.decisions.push(rec(align_score, Some(report.delta), unprofitable));
+                false
+            }
+            Err(record) => {
+                self.stats.decisions.push(record);
+                false
+            }
+        }
+    }
+
+    /// Quarantines the pair `(n1, n2)` at `stage`, counting it once.
+    fn quarantine(&mut self, stage: QuarantineStage, n1: &str, n2: &str, reason: String) {
+        if self.stats.quarantine.push(stage, n1, n2, reason, self.cfg.faults.seed) {
+            match stage {
+                QuarantineStage::Align => self.pstats.quarantined_align += 1,
+                QuarantineStage::Codegen => self.pstats.quarantined_codegen += 1,
+                QuarantineStage::Verify => self.pstats.quarantined_verify += 1,
+                // Only external drivers (the fuzz farm) report mismatches.
+                QuarantineStage::Mismatch => {}
+            }
+        }
+    }
+
+    /// Commits the profitable, verified merge of `f1` with `info.f2` and
+    /// books it: counters, the decision record `rec`, the search index,
+    /// fingerprints and liveness, the call-site index and mutation
+    /// generations, and the worklist (feedback loop). `rank` is the
+    /// winning candidate's 1-based position.
+    ///
+    /// A batch-eligible merge defers its body work (thunking) to the
+    /// generation's [`RewritePlan`]; any other merge flushes the pending
+    /// batch, which precedes it in serial order, and commits through an
+    /// immediate single-merge plan. Either way the bookkeeping below runs
+    /// now, so every later decision reads exactly the state the
+    /// reference driver would see.
+    fn accept(
+        &mut self,
+        module: &mut Module,
+        f1: FuncId,
+        info: MergeInfo,
+        rank: usize,
+        mut rec: DecisionRecord,
+    ) {
+        let f2 = info.f2;
+        let deletable = [can_delete(module, f1), can_delete(module, f2)];
+        let defer = self.batch_eligible(module, f1, &info, deletable);
+        if !defer {
+            self.flush(module);
+            self.pstats.batch_fallback += 1;
+        }
+        let t0 = Instant::now();
+        let committed = if defer {
+            // Serial commit would intern the thunk-side cast container
+            // types right now; replay that eagerly so the deferred
+            // execution leaves the type store bit-identical.
+            prepare_commit_casts(module, &info).is_ok().then(|| {
+                let [first, second] =
+                    deletable.map(|d| if d { Disposition::Deleted } else { Disposition::Thunk });
+                self.plan.add_merge(module, &info, &self.call_sites);
+                self.pending.push((first, second));
+                self.pstats.batched_merges += 1;
+                (first, second, Vec::new())
+            })
+        } else {
+            // Call-graph update through the partitioned plan: callers
+            // come from the incremental call-site index, disjoint caller
+            // partitions rewrite on the worker pool.
+            self.pstats.commit_barriers += 1;
+            commit_merge_partitioned(module, &info, &self.call_sites, self.pool())
+                .ok()
+                .map(|c| (c.first, c.second, c.touched))
+        };
+        self.stats.timers.update_calls += t0.elapsed();
+        self.pstats.rewrite += t0.elapsed();
+        let Some((first, second, touched)) = committed else {
+            // Should not happen (guarded by tests). Mirror the reference
+            // driver: drop the merge and abandon this subject, after the
+            // pending batch that precedes it. A failed commit may have
+            // partially rewritten call sites, a state the per-function
+            // generations cannot describe, so resynchronize.
+            self.flush(module);
+            module.remove_function(info.merged);
+            rec.outcome = DecisionOutcome::Failed;
+            self.stats.decisions.push(rec);
+            self.resync(module);
+            return;
+        };
+        self.stats.merges += 1;
+        self.stats.rank_positions.push(rank);
+        self.stats.decisions.push(rec);
+        // Retire the originals from the merge pool and the caches.
+        for (func, disposition) in [(f1, first), (f2, second)] {
+            self.live.remove(&func);
+            self.fingerprints.remove(&func);
+            self.index.remove(func);
+            self.lin_cache.invalidate(func);
+            match disposition {
+                Disposition::Deleted => {
+                    self.stats.deleted += 1;
+                    self.call_sites.remove(func);
+                    self.gens.remove(&func);
+                    // An immediate commit has removed it already; a
+                    // deferred one removes it now, so liveness and
+                    // `func_by_name` (merged-name deduplication) match
+                    // the reference driver. Removal is idempotent.
+                    module.remove_function(func);
+                }
+                Disposition::Thunk => {
+                    self.stats.thunks += 1;
+                    // The thunk's one call, whether its body is built
+                    // already or deferred to the flush.
+                    self.call_sites.set_thunk(func, info.merged);
+                    *self.gens.entry(func).or_insert(0) += 1;
+                }
+            }
+        }
+        // Rewritten callers (never any for a deferred merge) get new
+        // generations and fresh call-site entries.
+        for &g in &touched {
+            self.lin_cache.invalidate(g);
+            *self.gens.entry(g).or_insert(0) += 1;
+            if module.is_live(g) {
+                self.call_sites.refresh(module, g);
+            } else {
+                self.call_sites.remove(g);
+            }
+        }
+        self.call_sites.refresh(module, info.merged);
+        // Feedback loop: rewritten callers re-enter the index with fresh
+        // fingerprints, the merged function joins the next generation's
+        // worklist.
+        let t0 = Instant::now();
+        for g in touched {
+            if self.live.contains(&g) && module.is_live(g) {
+                let fp = Fingerprint::of(module, g);
+                self.index.insert(g, &fp);
+                self.fingerprints.insert(g, fp);
+            }
+        }
+        let merged_fp = Fingerprint::of(module, info.merged);
+        self.index.insert(info.merged, &merged_fp);
+        self.fingerprints.insert(info.merged, merged_fp);
+        self.stats.timers.fingerprinting += t0.elapsed();
+        self.live.insert(info.merged);
+        self.worklist.push_back(info.merged);
+        self.dirty = true;
+    }
+
+    /// Batch eligibility: the merge's call-graph update must provably
+    /// interact with nothing else in the generation. Every deletable side
+    /// has zero callers to rewrite (after the serial loop's own filters),
+    /// neither side is a merged function still pending in the batch, and
+    /// the merged body is already final (it calls neither its own
+    /// originals nor anything the batch retired). Such a commit touches
+    /// no third function, so its bookkeeping can run eagerly and its
+    /// body work can wait for the flush.
+    fn batch_eligible(
+        &self,
+        module: &Module,
+        f1: FuncId,
+        info: &MergeInfo,
+        deletable: [bool; 2],
+    ) -> bool {
+        let retired = self.plan.retired();
+        let callers_clear =
+            [(f1, deletable[0]), (info.f2, deletable[1])].into_iter().all(|(func, del)| {
+                !del || self
+                    .call_sites
+                    .callers_of(func)
+                    .into_iter()
+                    .all(|g| g == func || retired.contains(&g) || !module.is_live(g))
+            });
+        let merged_out = outgoing_calls(module.func(info.merged));
+        callers_clear
+            && !self.plan.merged_funcs().contains(&f1)
+            && !self.plan.merged_funcs().contains(&info.f2)
+            && !merged_out.contains_key(&f1)
+            && !merged_out.contains_key(&info.f2)
+            && merged_out.keys().all(|c| !retired.contains(c))
+    }
+
+    /// Executes the pending batch of deferred merges (no-op when empty):
+    /// thunks the non-deletable originals and re-confirms the removals,
+    /// all through one [`RewritePlan::execute`] barrier. The eligibility
+    /// rules guarantee the plan rewrites no caller, so the flush commutes
+    /// with everything that ran since the merges were accepted.
+    fn flush(&mut self, module: &mut Module) {
+        if self.plan.merges() == 0 {
+            return;
+        }
+        let _span = trace::span("fmsa", "flush_batch");
+        let t0 = Instant::now();
+        let plan = std::mem::take(&mut self.plan);
+        let expected = std::mem::take(&mut self.pending);
+        match plan.execute(module, self.pool()) {
+            Ok(results) => {
+                debug_assert_eq!(
+                    results.iter().map(|r| (r.first, r.second)).collect::<Vec<_>>(),
+                    expected,
+                    "deferred dispositions must match the decision-time prediction"
+                );
+                debug_assert!(
+                    results.iter().all(|r| r.touched.is_empty()),
+                    "batch-eligible merges must not touch any caller"
+                );
+            }
+            // Should not happen: eligible merges schedule no caller
+            // rewrites and their thunk cast types were pre-interned at
+            // decision time. The merges stay accepted (their bookkeeping
+            // already fed the feedback loop); resynchronize with whatever
+            // state the module is in.
+            Err(_) => self.resync(module),
+        }
+        let dt = t0.elapsed();
+        self.stats.timers.update_calls += dt;
+        self.pstats.rewrite += dt;
+        self.pstats.commit_barriers += 1;
+    }
+
+    /// Rebuilds the caches from the module and invalidates all
+    /// speculative work — after a failed commit or flush, which may leave
+    /// the module in a state the per-function generations cannot
+    /// describe.
+    fn resync(&mut self, module: &Module) {
+        self.call_sites = CallSiteIndex::build(module);
+        self.lin_cache = LinearizationCache::new();
+        self.epoch += 1;
+        self.dirty = true;
+    }
 }
 
 #[cfg(test)]
@@ -1381,13 +1273,17 @@ mod tests {
         out
     }
 
-    fn assert_matches_sequential(opts: &FmsaOptions, pipe: &PipelineOptions) {
+    fn t5() -> Config {
+        Config::new().threshold(5)
+    }
+
+    fn assert_matches_sequential(cfg: &Config) {
         let mut m1 = Module::new("m");
         clone_family(&mut m1, 6, 12);
-        let seq = run_fmsa(&mut m1, opts);
+        let seq = run_fmsa(&mut m1, cfg);
         let mut m2 = Module::new("m");
         clone_family(&mut m2, 6, 12);
-        let par = run_fmsa_pipeline(&mut m2, opts, pipe);
+        let par = run_fmsa_pipeline(&mut m2, cfg);
         assert_eq!(print_module(&m1), print_module(&m2), "module text must be bit-identical");
         assert_eq!(seq.merges, par.merges);
         assert_eq!(seq.attempted, par.attempted);
@@ -1398,46 +1294,36 @@ mod tests {
 
     #[test]
     fn single_thread_matches_sequential() {
-        assert_matches_sequential(
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(1),
-        );
+        assert_matches_sequential(&t5());
     }
 
     #[test]
     fn multi_thread_matches_sequential() {
         for threads in [2, 4, 8] {
-            assert_matches_sequential(
-                &FmsaOptions::with_threshold(5),
-                &PipelineOptions::with_threads(threads),
-            );
+            assert_matches_sequential(&t5().parallel(threads));
         }
     }
 
     #[test]
     fn small_batches_match_sequential() {
         for batch in [1, 2, 3] {
-            assert_matches_sequential(
-                &FmsaOptions::with_threshold(5),
-                &PipelineOptions { threads: 4, batch, ..PipelineOptions::default() },
-            );
+            assert_matches_sequential(&t5().parallel(4).batch(batch));
         }
     }
 
     #[test]
     fn lsh_pipeline_matches_lsh_sequential() {
-        assert_matches_sequential(&FmsaOptions::with_lsh(5), &PipelineOptions::with_threads(4));
+        assert_matches_sequential(&t5().search(crate::SearchStrategy::lsh()).parallel(4));
     }
 
     #[test]
     fn oracle_delegates_to_sequential() {
         let mut m1 = Module::new("m");
         clone_family(&mut m1, 5, 10);
-        let seq = run_fmsa(&mut m1, &FmsaOptions::oracle());
+        let seq = run_fmsa(&mut m1, &Config::new().oracle(true));
         let mut m2 = Module::new("m");
         clone_family(&mut m2, 5, 10);
-        let par =
-            run_fmsa_pipeline(&mut m2, &FmsaOptions::oracle(), &PipelineOptions::with_threads(4));
+        let par = run_fmsa_pipeline(&mut m2, &Config::new().oracle(true).parallel(4));
         assert_eq!(print_module(&m1), print_module(&m2));
         assert!(par.pipeline.is_none(), "oracle runs report sequential stats");
         assert_eq!(seq.merges, par.merges);
@@ -1447,11 +1333,7 @@ mod tests {
     fn pipeline_reports_telemetry() {
         let mut m = Module::new("m");
         clone_family(&mut m, 6, 12);
-        let stats = run_fmsa_pipeline(
-            &mut m,
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(4),
-        );
+        let stats = run_fmsa_pipeline(&mut m, &t5().parallel(4));
         let p = stats.pipeline.expect("pipeline stats");
         assert_eq!(p.threads, 4);
         assert!(p.generations >= 1);
@@ -1462,13 +1344,10 @@ mod tests {
 
     #[test]
     fn speculative_codegen_depths_match_sequential() {
-        // 0 = PR 2 behaviour (no speculation), 1 = top candidate only,
+        // 0 = no speculation, 1 = top candidate only,
         // MAX = every prepared pair; all must be decision-invisible.
         for spec_depth in [0, 1, usize::MAX] {
-            assert_matches_sequential(
-                &FmsaOptions::with_threshold(5),
-                &PipelineOptions { threads: 4, spec_depth, ..PipelineOptions::default() },
-            );
+            assert_matches_sequential(&t5().parallel(4).spec_depth(spec_depth));
         }
     }
 
@@ -1476,11 +1355,7 @@ mod tests {
     fn speculative_bodies_are_built_and_committed() {
         let mut m = Module::new("m");
         clone_family(&mut m, 6, 12);
-        let stats = run_fmsa_pipeline(
-            &mut m,
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(4),
-        );
+        let stats = run_fmsa_pipeline(&mut m, &t5().parallel(4));
         let p = stats.pipeline.expect("pipeline stats");
         assert!(p.spec_built > 0, "prepare must build speculative bodies: {p:?}");
         assert!(p.spec_committed > 0, "commit must transplant fresh bodies: {p:?}");
@@ -1496,11 +1371,7 @@ mod tests {
     fn scratch_stores_are_cow_shared_and_rewrite_timer_reported() {
         let mut m = Module::new("m");
         clone_family(&mut m, 6, 12);
-        let stats = run_fmsa_pipeline(
-            &mut m,
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(4),
-        );
+        let stats = run_fmsa_pipeline(&mut m, &t5().parallel(4));
         let p = stats.pipeline.expect("pipeline stats");
         assert!(p.spec_built > 0, "speculation must run: {p:?}");
         assert_eq!(
@@ -1525,11 +1396,7 @@ mod tests {
         // the barrier count stays below one-per-merge.
         let mut m = Module::new("m");
         clone_family(&mut m, 8, 12);
-        let stats = run_fmsa_pipeline(
-            &mut m,
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(4),
-        );
+        let stats = run_fmsa_pipeline(&mut m, &t5().parallel(4));
         let p = stats.pipeline.expect("pipeline stats");
         assert_eq!(p.batched_merges + p.batch_fallback, stats.merges, "{p:?}");
         assert!(p.batched_merges > 0, "eligible merges must defer: {p:?}");
@@ -1546,11 +1413,7 @@ mod tests {
     fn schedule_timers_split_query_and_prefill() {
         let mut m = Module::new("m");
         clone_family(&mut m, 8, 12);
-        let stats = run_fmsa_pipeline(
-            &mut m,
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(4),
-        );
+        let stats = run_fmsa_pipeline(&mut m, &t5().parallel(4));
         let p = stats.pipeline.expect("pipeline stats");
         assert_eq!(p.schedule, p.schedule_query + p.schedule_prefill, "{p:?}");
         assert!(p.schedule_query > Duration::ZERO, "{p:?}");
@@ -1578,11 +1441,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let mut m = Module::new("m");
             clone_family(&mut m, 6, 12);
-            let stats = run_fmsa_pipeline(
-                &mut m,
-                &FmsaOptions::with_threshold(5),
-                &PipelineOptions { threads, faults: plan, ..PipelineOptions::default() },
-            );
+            let stats = run_fmsa_pipeline(&mut m, &t5().parallel(threads).faults(plan));
             assert!(fmsa_ir::verify_module(&m).is_empty(), "faulted run stays valid");
             let p = stats.pipeline.expect("pipeline stats");
             assert_eq!(
@@ -1608,18 +1467,10 @@ mod tests {
         let plan = FaultPlan::new(3, 1_000_000, &[FaultSite::ScratchPoison]);
         let mut clean = Module::new("m");
         clone_family(&mut clean, 6, 12);
-        run_fmsa_pipeline(
-            &mut clean,
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions::with_threads(4),
-        );
+        run_fmsa_pipeline(&mut clean, &t5().parallel(4));
         let mut m = Module::new("m");
         clone_family(&mut m, 6, 12);
-        let stats = run_fmsa_pipeline(
-            &mut m,
-            &FmsaOptions::with_threshold(5),
-            &PipelineOptions { threads: 4, faults: plan, ..PipelineOptions::default() },
-        );
+        let stats = run_fmsa_pipeline(&mut m, &t5().parallel(4).faults(plan));
         let p = stats.pipeline.expect("pipeline stats");
         assert!(p.poisoned_scratch > 0, "poison must be detected: {p:?}");
         assert_eq!(p.quarantined(), 0, "degradation, not quarantine: {p:?}");
@@ -1633,15 +1484,12 @@ mod tests {
         use fmsa_align::{AlignmentBudget, BudgetFallback};
         let mut m = Module::new("m");
         clone_family(&mut m, 4, 12);
-        let opts = FmsaOptions {
-            budget: AlignmentBudget {
-                full_matrix_cells: usize::MAX,
-                fallback: BudgetFallback::Skip,
-                max_len: 4, // every family member is longer than this
-            },
-            ..FmsaOptions::with_threshold(5)
-        };
-        let stats = run_fmsa_pipeline(&mut m, &opts, &PipelineOptions::with_threads(2));
+        let cfg = t5().parallel(2).budget(AlignmentBudget {
+            full_matrix_cells: usize::MAX,
+            fallback: BudgetFallback::Skip,
+            max_len: 4, // every family member is longer than this
+        });
+        let stats = run_fmsa_pipeline(&mut m, &cfg);
         assert_eq!(stats.merges, 0);
         assert!(stats.pipeline.expect("stats").budget_skipped > 0);
     }

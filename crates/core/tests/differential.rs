@@ -492,7 +492,7 @@ fn fmsa_options_end_to_end_equivalence() {
     let before: Vec<_> =
         inputs.iter().map(|a| execute(&m, "main", a.clone()).expect("runs").value).collect();
     let cfg = Config::new().threshold(10).exclude(["main"]);
-    let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+    let stats = run_fmsa(&mut m, &cfg);
     assert!(stats.merges >= 1, "{stats:?}");
     assert!(fmsa_ir::verify_module(&m).is_empty(), "{:?}", fmsa_ir::verify_module(&m));
     for (args, exp) in inputs.iter().zip(before) {

@@ -88,7 +88,7 @@ fn pass_option_merges_reordered_clones_and_preserves_behaviour() {
     m.func_mut(fb).linkage = Linkage::External;
     let before_a = Interpreter::new(&m).run("fa", args_for(&m, "fa")).expect("runs");
     let cfg = Config::new().threshold(5).canonicalize(true);
-    let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+    let stats = run_fmsa(&mut m, &cfg);
     assert_eq!(stats.merges, 1, "{stats:?}");
     assert!(fmsa_ir::verify_module(&m).is_empty());
     let after_a = Interpreter::new(&m).run("fa", args_for(&m, "fa")).expect("runs");

@@ -16,7 +16,7 @@ fn swarm(seed: u64, functions: usize) -> Module {
 fn run(m: &Module, search: SearchStrategy) -> (FmsaStats, String) {
     let mut m = m.clone();
     let cfg = Config::new().threshold(5).search(search);
-    let stats = run_fmsa(&mut m, &cfg.fmsa_options());
+    let stats = run_fmsa(&mut m, &cfg);
     let errs = fmsa_ir::verify_module(&m);
     assert!(errs.is_empty(), "invalid module after pass: {errs:?}");
     (stats, fmsa_ir::printer::print_module(&m))

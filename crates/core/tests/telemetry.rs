@@ -93,10 +93,10 @@ fn merge_run_traces_are_well_nested() {
 
     trace::enable();
     let mut m = swarm(64, 7);
-    run_fmsa(&mut m, &cfg().fmsa_options());
+    run_fmsa(&mut m, &cfg());
     let pcfg = cfg().parallel(2);
     let mut m2 = swarm(64, 7);
-    run_fmsa_pipeline(&mut m2, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+    run_fmsa_pipeline(&mut m2, &pcfg);
     trace::disable();
 
     let (events, _) = trace::drain();
@@ -120,7 +120,7 @@ fn tracing_changes_no_output_bytes() {
 
     let reference = {
         let mut m = swarm(96, 3);
-        run_fmsa(&mut m, &cfg().fmsa_options());
+        run_fmsa(&mut m, &cfg());
         print_module(&m)
     };
     for tracing_on in [false, true] {
@@ -130,12 +130,12 @@ fn tracing_changes_no_output_bytes() {
             trace::disable();
         }
         let mut m = swarm(96, 3);
-        run_fmsa(&mut m, &cfg().fmsa_options());
+        run_fmsa(&mut m, &cfg());
         assert_eq!(print_module(&m), reference, "sequential, tracing={tracing_on}");
         for threads in [1usize, 2, 4, 8] {
             let pcfg = cfg().parallel(threads);
             let mut m = swarm(96, 3);
-            run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+            run_fmsa_pipeline(&mut m, &pcfg);
             assert_eq!(
                 print_module(&m),
                 reference,
@@ -180,14 +180,14 @@ fn decision_log_reconciles_with_stats() {
     let _lock = RECORDER.lock().unwrap();
     let m = swarm(128, 11);
     let mut m_seq = m.clone();
-    let seq = run_fmsa(&mut m_seq, &cfg().fmsa_options());
+    let seq = run_fmsa(&mut m_seq, &cfg());
     assert!(seq.attempted > 0, "swarm produced no merge attempts");
     assert_reconciled("sequential", &seq);
 
     for threads in [1usize, 4] {
         let pcfg = cfg().parallel(threads);
         let mut m_par = m.clone();
-        let par = run_fmsa_pipeline(&mut m_par, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let par = run_fmsa_pipeline(&mut m_par, &pcfg);
         assert_reconciled(&format!("pipeline-{threads}"), &par);
         // The thread-invariant half of the outcome split matches the
         // sequential run; the Merged/ConflictFallback split itself may

@@ -5,10 +5,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use fmsa::core::pass::run_fmsa;
 use fmsa::interp::{execute, Val};
 use fmsa::ir::{printer, FuncBuilder, Module, Value};
-use fmsa::Config;
+use fmsa::{optimize, Config};
 
 fn main() {
     // 1. Build a module with two near-identical functions: polynomial
@@ -34,8 +33,10 @@ fn main() {
     let before_a = execute(&module, "poly_a", vec![Val::i32(2), Val::i32(3)]).unwrap();
     let before_b = execute(&module, "poly_b", vec![Val::i32(2), Val::i32(3)]).unwrap();
 
-    // 2. Run the FMSA optimization.
-    let stats = run_fmsa(&mut module, &Config::new().fmsa_options());
+    // 2. Run the FMSA optimization (without the identical-merging
+    //    prepass, so the numbers below are FMSA's alone).
+    let stats = optimize(&mut module, &Config::new().identical_prepass(false))
+        .expect("a valid module merges");
     println!("\n--- after merging ---");
     print!("{}", printer::print_module(&module));
     println!("\nmerges committed : {}", stats.merges);

@@ -9,11 +9,10 @@
 //! ```
 
 use fmsa::core::baselines::run_identical;
-use fmsa::core::pass::run_fmsa;
 use fmsa::ir::Module;
 use fmsa::target::{reduction_percent, CostModel, TargetArch};
 use fmsa::workloads::{generate_function, GenConfig, Variant};
-use fmsa::Config;
+use fmsa::{optimize, Config};
 
 fn build_instantiations() -> Module {
     let mut m = Module::new("templates");
@@ -54,10 +53,10 @@ fn main() {
         ident.reduction_percent()
     );
 
-    // FMSA with the feedback loop.
+    // FMSA with the feedback loop, after the same identical-merging
+    // prepass (`optimize` runs it by default).
     let mut m = module.clone();
-    run_identical(&mut m, TargetArch::X86_64);
-    let stats = run_fmsa(&mut m, &Config::new().threshold(5).fmsa_options());
+    let stats = optimize(&mut m, &Config::new().threshold(5)).expect("instantiations merge");
     let after = cm.module_size(&m);
     println!(
         "FMSA merges across types too: {} more merges, {:.1}% total reduction",

@@ -5,9 +5,8 @@
 //! cargo run --release --example wasm_quickstart [n_functions]
 //! ```
 
-use fmsa::core::pipeline::run_fmsa_pipeline;
 use fmsa::workloads::{wasm_fixture_bytes, WasmFixtureConfig};
-use fmsa::Config;
+use fmsa::{optimize, Config};
 
 fn main() {
     let n = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(80);
@@ -17,8 +16,8 @@ fn main() {
     let mut module = fmsa::wasm::load_wasm(&bytes, "wasm-corpus").expect("decodes and lowers");
     assert!(fmsa::ir::verify_module(&module).is_empty());
     println!("lowered: {} functions, {} instructions", module.func_count(), module.total_insts());
-    let merge = Config::new().threshold(5).parallel(0);
-    let stats = run_fmsa_pipeline(&mut module, &merge.fmsa_options(), &merge.pipeline_options());
+    let merge = Config::new().threshold(5).parallel(0).identical_prepass(false);
+    let stats = optimize(&mut module, &merge).expect("the corpus merges");
     println!(
         "merges: {} (attempted {}), size {} -> {} ({:.2}% reduction)",
         stats.merges,

@@ -31,7 +31,7 @@ fn check_injected_plan(functions: usize) {
     for threads in [1usize, 2, 4] {
         let mut m = base.clone();
         let cfg = swarm_cfg().parallel(threads).faults(plan);
-        let stats = run_fmsa_pipeline(&mut m, &cfg.fmsa_options(), &cfg.pipeline_options());
+        let stats = run_fmsa_pipeline(&mut m, &cfg);
         let errs = verify_module(&m);
         assert!(errs.is_empty(), "faulted run verifies at {threads} threads: {errs:?}");
         assert!(stats.merges > 0, "the swarm still merges around the faults");
@@ -94,7 +94,7 @@ fn scratch_poison_degrades_without_changing_output() {
     let cfg = swarm_cfg().parallel(4);
 
     let mut clean = base.clone();
-    run_fmsa_pipeline(&mut clean, &cfg.fmsa_options(), &cfg.pipeline_options());
+    run_fmsa_pipeline(&mut clean, &cfg);
     let clean_text = print_module(&clean);
 
     // Poison every speculative scratch body: the commit stage must catch
@@ -103,7 +103,7 @@ fn scratch_poison_degrades_without_changing_output() {
     let poison = FaultPlan::new(0xFA17, 1_000_000, &[FaultSite::ScratchPoison]);
     let mut m = base.clone();
     let pcfg = cfg.faults(poison);
-    let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+    let stats = run_fmsa_pipeline(&mut m, &pcfg);
     let p = stats.pipeline.expect("pipeline stats");
     assert!(p.poisoned_scratch > 0, "the poison plan fired");
     assert_eq!(p.quarantined(), 0, "spec-wave faults degrade, they never quarantine");

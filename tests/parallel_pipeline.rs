@@ -15,9 +15,9 @@ use proptest::prelude::*;
 
 fn run_both(base: &Module, cfg: &Config) -> (String, String) {
     let mut m_seq = base.clone();
-    run_fmsa(&mut m_seq, &cfg.fmsa_options());
+    run_fmsa(&mut m_seq, cfg);
     let mut m_par = base.clone();
-    run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
+    run_fmsa_pipeline(&mut m_par, cfg);
     (print_module(&m_seq), print_module(&m_par))
 }
 
@@ -54,7 +54,7 @@ proptest! {
         let mut runs = Vec::new();
         for _ in 0..2 {
             let mut m = base.clone();
-            run_fmsa_pipeline(&mut m, &cfg.fmsa_options(), &cfg.pipeline_options());
+            run_fmsa_pipeline(&mut m, &cfg);
             runs.push(print_module(&m));
         }
         prop_assert_eq!(&runs[0], &runs[1]);
@@ -124,9 +124,9 @@ proptest! {
         let base = calling_swarm(seed, families, members);
         let cfg = Config::new().threshold(5).parallel(threads);
         let mut m_seq = base.clone();
-        let seq = run_fmsa(&mut m_seq, &cfg.fmsa_options());
+        let seq = run_fmsa(&mut m_seq, &cfg);
         let mut m_par = base.clone();
-        let par = run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
+        let par = run_fmsa_pipeline(&mut m_par, &cfg);
         prop_assert_eq!(print_module(&m_seq), print_module(&m_par));
         prop_assert_eq!(seq.merges, par.merges);
         let p = par.pipeline.expect("pipeline stats");
@@ -143,14 +143,14 @@ proptest! {
 fn caller_overlap_falls_back_and_matches_serial() {
     let base = calling_swarm(0x0ba7_c4ed, 6, 3);
     let mut m_seq = base.clone();
-    let seq = run_fmsa(&mut m_seq, &Config::new().threshold(5).fmsa_options());
+    let seq = run_fmsa(&mut m_seq, &Config::new().threshold(5));
     assert!(seq.merges > 3, "workload must merge: {}", seq.merges);
     let seq_text = print_module(&m_seq);
     let mut counters: Option<(usize, usize)> = None;
     for threads in [1usize, 2, 4, 8] {
         let cfg = Config::new().threshold(5).parallel(threads);
         let mut m_par = base.clone();
-        let par = run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
+        let par = run_fmsa_pipeline(&mut m_par, &cfg);
         assert_eq!(seq_text, print_module(&m_par), "module text at {threads} threads");
         let p = par.pipeline.expect("pipeline stats");
         assert_eq!(p.batched_merges + p.batch_fallback, par.merges, "{p:?}");
@@ -184,10 +184,10 @@ fn stress_shared_candidates_exercise_conflict_revalidation() {
     let base = clone_swarm_module(&cfg);
     let cfg = Config::new().threshold(8).search(SearchStrategy::lsh()).parallel(4);
     let mut m_seq = base.clone();
-    let seq = run_fmsa(&mut m_seq, &cfg.fmsa_options());
+    let seq = run_fmsa(&mut m_seq, &cfg);
     assert!(seq.merges > 10, "stress module must merge heavily: {}", seq.merges);
     let mut m_par = base.clone();
-    let par = run_fmsa_pipeline(&mut m_par, &cfg.fmsa_options(), &cfg.pipeline_options());
+    let par = run_fmsa_pipeline(&mut m_par, &cfg);
     assert_eq!(print_module(&m_seq), print_module(&m_par));
     let p = par.pipeline.expect("pipeline stats");
     assert!(p.recomputed > 0, "shared candidates must invalidate speculative attempts: {p:?}");
@@ -211,13 +211,13 @@ fn stress_speculative_codegen_across_thread_counts() {
     let base = clone_swarm_module(&cfg);
     let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
     let mut m_seq = base.clone();
-    let seq = run_fmsa(&mut m_seq, &cfg.fmsa_options());
+    let seq = run_fmsa(&mut m_seq, &cfg);
     let seq_text = print_module(&m_seq);
     assert!(seq.merges > 5, "stress module must merge: {}", seq.merges);
     for threads in [1usize, 2, 4, 8] {
         let mut m_par = base.clone();
         let pcfg = cfg.clone().parallel(threads);
-        let par = run_fmsa_pipeline(&mut m_par, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let par = run_fmsa_pipeline(&mut m_par, &pcfg);
         assert_eq!(seq.merges, par.merges, "merge count at {threads} threads");
         assert_eq!(
             seq.rank_positions, par.rank_positions,
@@ -301,13 +301,13 @@ fn length_cap_triggers_on_adversarially_long_functions() {
         })
         .parallel(2);
     let mut merged = m.clone();
-    let stats = run_fmsa_pipeline(&mut merged, &cfg.fmsa_options(), &cfg.pipeline_options());
+    let stats = run_fmsa_pipeline(&mut merged, &cfg);
     assert_eq!(stats.merges, 0, "capped pairs must not merge");
     assert!(stats.pipeline.expect("stats").budget_skipped > 0);
     // Without the cap the same pair merges fine.
     let cfg = Config::new().threshold(5).parallel(2);
     let mut merged = m.clone();
-    let stats = run_fmsa_pipeline(&mut merged, &cfg.fmsa_options(), &cfg.pipeline_options());
+    let stats = run_fmsa_pipeline(&mut merged, &cfg);
     assert_eq!(stats.merges, 1);
 }
 
@@ -332,9 +332,9 @@ fn banded_fallback_still_merges_clone_families() {
         })
         .parallel(2);
     let mut m_banded = base.clone();
-    let banded = run_fmsa_pipeline(&mut m_banded, &cfg.fmsa_options(), &cfg.pipeline_options());
+    let banded = run_fmsa_pipeline(&mut m_banded, &cfg);
     let mut m_full = base.clone();
-    let full = run_fmsa(&mut m_full, &Config::new().threshold(5).fmsa_options());
+    let full = run_fmsa(&mut m_full, &Config::new().threshold(5));
     assert!(banded.merges > 0);
     assert_eq!(banded.merges, full.merges, "banded must not lose clone-family merges");
     assert!(fmsa::ir::verify_module(&m_banded).is_empty());

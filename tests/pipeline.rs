@@ -35,7 +35,7 @@ fn technique_ordering_on_small_spec_benchmarks() {
         let soa = before - cm.module_size(&ms);
         let mut mf = base.clone();
         run_identical(&mut mf, TargetArch::X86_64);
-        run_fmsa(&mut mf, &Config::new().threshold(10).fmsa_options());
+        run_fmsa(&mut mf, &Config::new().threshold(10));
         let fmsa = before - cm.module_size(&mf);
         assert!(fmsa >= soa, "{name}: FMSA {fmsa} < SOA {soa}");
         assert!(soa >= ident, "{name}: SOA {soa} < Identical {ident}");
@@ -51,7 +51,7 @@ fn modules_stay_valid_through_all_techniques() {
         let mut m = base.clone();
         run_identical(&mut m, TargetArch::X86_64);
         run_soa(&mut m, TargetArch::X86_64);
-        run_fmsa(&mut m, &Config::new().threshold(5).fmsa_options());
+        run_fmsa(&mut m, &Config::new().threshold(5));
         let errs = fmsa_ir::verify_module(&m);
         assert!(errs.is_empty(), "{}: {errs:?}", d.name);
     }
@@ -74,7 +74,7 @@ fn driver_behaviour_preserved_through_full_pipeline() {
     let mut merged = base.clone();
     run_identical(&mut merged, TargetArch::X86_64);
     let cfg = Config::new().threshold(10).exclude(["__driver"]);
-    let stats = run_fmsa(&mut merged, &cfg.fmsa_options());
+    let stats = run_fmsa(&mut merged, &cfg);
     assert!(stats.merges > 0, "milc-like module should merge something");
     let (out_after, steps_after) = run(&merged);
     assert_eq!(out_before, out_after, "observable behaviour changed");
@@ -114,7 +114,7 @@ fn fmsa_bench_harness_runtime(d: &fmsa::workloads::BenchDesc) -> (f64, f64) {
         let mut ex: HashSet<String> = exclude.into_iter().collect();
         ex.insert("__driver".to_owned());
         let cfg = Config::new().threshold(1).exclude(ex);
-        run_fmsa(&mut m, &cfg.fmsa_options());
+        run_fmsa(&mut m, &cfg);
         run(&m).0 as f64 / steps_before as f64
     };
     (merge(hot), merge(Vec::new()))
@@ -128,7 +128,7 @@ fn mibench_tiny_benchmarks_find_nothing() {
         let mut m = d.build();
         let i = run_identical(&mut m, TargetArch::X86_64);
         let s = run_soa(&mut m, TargetArch::X86_64);
-        let f = run_fmsa(&mut m, &Config::new().threshold(10).fmsa_options());
+        let f = run_fmsa(&mut m, &Config::new().threshold(10));
         assert_eq!((i.merges, s.merges, f.merges), (0, 0, 0), "{name} should have no merges");
     }
 }
@@ -143,7 +143,7 @@ fn rijndael_giant_pair_dominates() {
     let mut m = base.clone();
     assert_eq!(run_identical(&mut m, TargetArch::X86_64).merges, 0);
     assert_eq!(run_soa(&mut m, TargetArch::X86_64).merges, 0);
-    let stats = run_fmsa(&mut m, &Config::new().fmsa_options());
+    let stats = run_fmsa(&mut m, &Config::new());
     assert_eq!(stats.merges, 1);
     let red = fmsa::target::reduction_percent(before, cm.module_size(&m));
     assert!((15.0..30.0).contains(&red), "rijndael reduction should be paper-sized (20.6%): {red}");
@@ -156,9 +156,9 @@ fn oracle_never_loses_to_greedy() {
         let base = d.build();
         let cm = CostModel::new(TargetArch::X86_64);
         let mut g = base.clone();
-        run_fmsa(&mut g, &Config::new().threshold(1).fmsa_options());
+        run_fmsa(&mut g, &Config::new().threshold(1));
         let mut o = base.clone();
-        run_fmsa(&mut o, &Config::new().oracle(true).fmsa_options());
+        run_fmsa(&mut o, &Config::new().oracle(true));
         assert!(
             cm.module_size(&o) <= cm.module_size(&g),
             "{name}: oracle should be at least as good"
@@ -179,7 +179,7 @@ fn both_targets_agree_qualitatively() {
         let mut m = base.clone();
         run_identical(&mut m, arch);
         let cfg = Config::new().threshold(1).arch(arch);
-        run_fmsa(&mut m, &cfg.fmsa_options());
+        run_fmsa(&mut m, &cfg);
         reductions.push(fmsa::target::reduction_percent(before, cm.module_size(&m)));
     }
     assert!(reductions.iter().all(|&r| r > 0.0), "{reductions:?}");

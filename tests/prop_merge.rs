@@ -135,7 +135,7 @@ proptest! {
         }
         let before: Vec<_> =
             names.iter().map(|n| (n.clone(), observe(&m, n, 1))).collect();
-        let stats = run_fmsa(&mut m, &Config::new().threshold(5).fmsa_options());
+        let stats = run_fmsa(&mut m, &Config::new().threshold(5));
         let errs = fmsa_ir::verify_module(&m);
         prop_assert!(errs.is_empty(), "after pass: {errs:?}");
         let _ = stats;

@@ -97,7 +97,7 @@ fn merged_pair() -> (Module, Module) {
     assert!(verify_module(&pre).is_empty());
 
     let mut post = pre.clone();
-    let stats = run_fmsa(&mut post, &Config::new().threshold(5).fmsa_options());
+    let stats = run_fmsa(&mut post, &Config::new().threshold(5));
     assert!(stats.merges > 0, "the trap families must merge: {stats:?}");
     assert!(verify_module(&post).is_empty());
 

@@ -59,7 +59,7 @@ fn pipeline_output_identical_across_threads_on_wasm_input() {
     for threads in [1usize, 2, 4] {
         let mut m = base.clone();
         let pcfg = cfg.clone().parallel(threads);
-        let stats = run_fmsa_pipeline(&mut m, &pcfg.fmsa_options(), &pcfg.pipeline_options());
+        let stats = run_fmsa_pipeline(&mut m, &pcfg);
         let errs = verify_module(&m);
         assert!(errs.is_empty(), "merged wasm module verifies at {threads} threads: {errs:?}");
         outputs.push(print_module(&m));
@@ -83,7 +83,7 @@ fn merged_wasm_is_differentially_equal_under_the_interpreter() {
 
     let mut post = pre.clone();
     let mcfg = Config::new().threshold(5).parallel(2);
-    let stats = run_fmsa_pipeline(&mut post, &mcfg.fmsa_options(), &mcfg.pipeline_options());
+    let stats = run_fmsa_pipeline(&mut post, &mcfg);
     assert!(stats.merges > 0, "corpus must merge");
     assert!(stats.quarantine.is_empty(), "a clean run quarantines nothing");
 
