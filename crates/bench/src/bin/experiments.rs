@@ -29,10 +29,9 @@
 //! configuration (the `BENCH_ci.json` artifact), and `--check` turns
 //! parity-budget violations (LSH vs exact, pipeline vs sequential,
 //! daemon vs batch) into a non-zero exit for the CI gate.
-//! `merge-parallel` additionally honours `--spec-depth N` (speculative
-//! codegen depth per subject; default: every promising pair) and
-//! `--spec-batch N` (subjects scheduled per generation; default: auto) —
-//! the corresponding knobs of `fmsa::Config`. `scale` honours
+//! `merge-parallel` additionally honours `--spec-batch N` (subjects
+//! scheduled per generation; `0` = whole frontier, the default) —
+//! `fmsa::Config::batch`. `scale` honours
 //! `--functions N` (corpus size; default 1 000 000, or 20 000 with
 //! `--fast`) and `--chunk N` (streamed chunk size): it processes the
 //! corpus one materialized chunk at a time so peak memory stays bounded
@@ -85,9 +84,6 @@ fn main() {
         }
     };
     let mut overrides = Config::new();
-    if let Some(depth) = flag_value("--spec-depth") {
-        overrides = overrides.spec_depth(depth);
-    }
     if let Some(batch) = flag_value("--spec-batch") {
         overrides = overrides.batch(batch);
     }
@@ -96,15 +92,8 @@ fn main() {
     let scale_chunk = flag_value("--chunk");
     let trace_out =
         args.iter().position(|a| a == "--trace-out").and_then(|k| args.get(k + 1)).cloned();
-    let value_flags = [
-        "--json",
-        "--spec-depth",
-        "--spec-batch",
-        "--budget",
-        "--functions",
-        "--chunk",
-        "--trace-out",
-    ];
+    let value_flags =
+        ["--json", "--spec-batch", "--budget", "--functions", "--chunk", "--trace-out"];
     let cmd = args
         .iter()
         .enumerate()
@@ -522,15 +511,10 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
     use fmsa_ir::printer::print_module;
     use fmsa_workloads::{clone_swarm_module, SwarmConfig};
     let auto = Config::new().parallel(0).resolved_threads();
-    let spec_depth_label = if overrides.spec_depth == usize::MAX {
-        "all".to_owned()
-    } else {
-        overrides.spec_depth.to_string()
-    };
     println!(
-        "\n== Parallel merge pipeline vs sequential driver (t=5, lsh search, \
-         spec-depth={spec_depth_label}, spec-batch={}) ==",
-        if overrides.batch == 0 { "auto".to_owned() } else { overrides.batch.to_string() }
+        "\n== Parallel merge pipeline vs sequential driver (t=5, lsh search, spec-batch={}; \
+         0 = whole frontier) ==",
+        overrides.batch
     );
     println!(
         "{:>6} {:<11} {:>7} {:>10} {:>8} {:>11} {:>10} {:>8}",
@@ -567,9 +551,9 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
             ("reduction_percent", Json::F(seq.reduction_percent())),
             ("wall_s", Json::F(t_seq.as_secs_f64())),
         ]);
-        // threads=1 is the PR 2-style no-speculation baseline; threads=2
-        // exercises speculative codegen + transplant even on a single
-        // core; threads=4 adds multi-partition parallel call-site
+        // threads=1 runs no prepare stage; threads=2 exercises the
+        // parallel align + Δ gate and commit-time re-validation even on a
+        // single core; threads=4 adds multi-partition parallel call-site
         // rewriting (CI runs `--check` over all three); `auto` adds the
         // machine's real parallelism when it offers more.
         let mut thread_counts = vec![1usize, 2, 4];
@@ -598,9 +582,7 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
             let p = par.pipeline.unwrap_or_default();
             println!(
                 "       stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
-                 prepare {:.2?} (cpu {:.2?}, spec codegen {:.2?}), \
-                 commit {:.2?} (codegen {:.2?}, transplant {:.2?}, rewrite {:.2?}); \
-                 spec bodies built {} / used {} (committed {}) / fallback {}; \
+                 prepare {:.2?} (cpu {:.2?}), commit {:.2?} (codegen {:.2?}, rewrite {:.2?}); \
                  commit barriers {} (batched {} merges, {} fallback)",
                 p.schedule,
                 p.schedule_query,
@@ -608,29 +590,13 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
                 p.schedule_cpu,
                 p.prepare,
                 p.prepare_cpu,
-                p.spec_codegen,
                 p.commit,
                 p.commit_codegen,
-                p.transplant,
                 p.rewrite,
-                p.spec_built,
-                p.spec_used,
-                p.spec_committed,
-                p.spec_fallback,
                 p.commit_barriers,
                 p.batched_merges,
                 p.batch_fallback,
             );
-            if p.spec_built > 0 {
-                println!(
-                    "       scratch setup: {} COW-shared / {} cloned stores, \
-                     {} suffix types interned, ~{:.1} MiB of store copies avoided",
-                    p.scratch_cow_shared,
-                    p.scratch_cloned,
-                    p.scratch_suffix_types,
-                    p.scratch_bytes_avoided as f64 / (1024.0 * 1024.0),
-                );
-            }
             // Header pairs first, then the canonical PipelineStats field
             // list (shared with `scale --json` and `fmsa_opt --stats`).
             // `threads` is already in the header, so drop the duplicate.
@@ -641,7 +607,6 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
                 ("search", Json::S("lsh".into())),
                 ("alignment", Json::S("needleman-wunsch".into())),
                 ("threads", Json::I(threads as i64)),
-                ("spec_depth", Json::S(spec_depth_label.clone())),
                 ("spec_batch", Json::I(pcfg.batch as i64)),
                 ("merges", Json::I(par.merges as i64)),
                 ("reduction_percent", Json::F(par.reduction_percent())),
@@ -668,7 +633,7 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
         }
     }
     println!(
-        "(pipeline threads=1 disables speculation; its win over the sequential driver is \
+        "(pipeline threads=1 runs no prepare stage; its win over the sequential driver is \
          the linearization cache, the call-site index, and the pre-codegen Δ gate)"
     );
 }
@@ -963,10 +928,8 @@ fn wasm_frontend(fast: bool, overrides: &Config, report: &mut Report) {
                 ("identical_to_threads1", Json::B(identical)),
                 ("schedule_s", Json::F(p.schedule.as_secs_f64())),
                 ("prepare_s", Json::F(p.prepare.as_secs_f64())),
-                ("spec_codegen_s", Json::F(p.spec_codegen.as_secs_f64())),
                 ("commit_s", Json::F(p.commit.as_secs_f64())),
                 ("commit_codegen_s", Json::F(p.commit_codegen.as_secs_f64())),
-                ("transplant_s", Json::F(p.transplant.as_secs_f64())),
                 ("rewrite_s", Json::F(p.rewrite.as_secs_f64())),
             ]);
             if !identical {
@@ -1119,8 +1082,7 @@ fn fuzz_farm(fast: bool, budget_secs: usize, report: &mut Report) {
 /// deterministic `FaultPlan` forcing panics and verifier failures, and
 /// gate the graceful-degradation contract — the run completes, only
 /// planned pairs are quarantined, and output plus quarantine summary are
-/// bit-identical at 1, 2, and 4 threads. A scratch-poison-only plan must
-/// degrade to the inline path with no quarantine and unchanged output.
+/// bit-identical at 1, 2, and 4 threads.
 fn fault_matrix(fast: bool, report: &mut Report) {
     use fmsa_core::quarantine::QuarantineStage;
     use fmsa_core::SearchStrategy;
@@ -1131,151 +1093,101 @@ fn fault_matrix(fast: bool, report: &mut Report) {
     let n = if fast { 600 } else { 5000 };
     println!("\n== Fault-injection matrix: quarantine and graceful degradation (n={n}) ==");
     println!(
-        "{:>9} {:>7} {:>10} {:>8} {:>6} {:>8} {:>7} {:>7} {:>10} {:>9}",
-        "plan",
-        "threads",
-        "wall",
-        "merges",
-        "quar",
-        "panics",
-        "poison",
-        "verify",
-        "identical",
-        "summary="
+        "{:>9} {:>7} {:>10} {:>8} {:>6} {:>8} {:>7} {:>10} {:>9}",
+        "plan", "threads", "wall", "merges", "quar", "panics", "verify", "identical", "summary="
     );
     let base = clone_swarm_module(&SwarmConfig::with_functions(n));
     let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
-    let plan = FaultPlan::new(0xFA17, 20_000, &FaultSite::ALL);
-    let poison_only = FaultPlan::new(0xFA17, 1_000_000, &[FaultSite::ScratchPoison]);
-    // The clean 4-thread output is the reference the poison-only run must
-    // reproduce exactly (spec-wave faults degrade, they never quarantine).
-    let mut clean = base.clone();
-    {
-        let clean_cfg = cfg.clone().parallel(4);
-        run_fmsa_pipeline(&mut clean, &clean_cfg);
-    }
-    let clean_text = print_module(&clean);
-    for (label, faults) in [("injected", plan), ("poison", poison_only)] {
-        let mut reference: Option<(String, String)> = None;
-        for threads in [1usize, 2, 4] {
-            let mut m = base.clone();
-            let pcfg = cfg.clone().parallel(threads).faults(faults);
-            let t0 = std::time::Instant::now();
-            let stats = run_fmsa_pipeline(&mut m, &pcfg);
-            let wall = t0.elapsed();
-            let errs = fmsa_ir::verify_module(&m);
-            if !errs.is_empty() {
-                report.fail(format!(
-                    "faults {label} threads={threads}: output module invalid: {}",
-                    errs[0]
-                ));
+    let (label, faults) = ("injected", FaultPlan::new(0xFA17, 20_000, &FaultSite::ALL));
+    let mut reference: Option<(String, String)> = None;
+    for threads in [1usize, 2, 4] {
+        let mut m = base.clone();
+        let pcfg = cfg.clone().parallel(threads).faults(faults);
+        let t0 = std::time::Instant::now();
+        let stats = run_fmsa_pipeline(&mut m, &pcfg);
+        let wall = t0.elapsed();
+        let errs = fmsa_ir::verify_module(&m);
+        if !errs.is_empty() {
+            report.fail(format!(
+                "faults {label} threads={threads}: output module invalid: {}",
+                errs[0]
+            ));
+        }
+        let text = print_module(&m);
+        let summary = stats.quarantine.summary();
+        let (identical, summary_same) = match &reference {
+            None => {
+                reference = Some((text.clone(), summary.clone()));
+                (true, true)
             }
-            let text = print_module(&m);
-            let summary = stats.quarantine.summary();
-            let (identical, summary_same) = match &reference {
-                None => {
-                    reference = Some((text.clone(), summary.clone()));
-                    (true, true)
-                }
-                Some((rt, rs)) => (*rt == text, *rs == summary),
-            };
-            let p = stats.pipeline.unwrap_or_default();
-            println!(
-                "{:>9} {:>7} {:>9.2?} {:>8} {:>6} {:>8} {:>7} {:>7} {:>10} {:>9}",
-                label,
-                threads,
-                wall,
-                stats.merges,
-                p.quarantined(),
-                p.panics_caught,
-                p.poisoned_scratch,
-                p.quarantined_verify,
-                if identical { "yes" } else { "NO" },
-                if summary_same { "same" } else { "DIFFERS" }
-            );
-            report.record(&[
-                ("experiment", Json::S("faults".into())),
-                ("plan", Json::S(label.into())),
-                ("functions", Json::I(n as i64)),
-                ("threads", Json::I(threads as i64)),
-                ("rate_ppm", Json::I(faults.rate_ppm as i64)),
-                ("merges", Json::I(stats.merges as i64)),
-                ("quarantined", Json::I(p.quarantined() as i64)),
-                ("quarantined_align", Json::I(p.quarantined_align as i64)),
-                ("quarantined_codegen", Json::I(p.quarantined_codegen as i64)),
-                ("quarantined_verify", Json::I(p.quarantined_verify as i64)),
-                ("panics_caught", Json::I(p.panics_caught as i64)),
-                ("poisoned_scratch", Json::I(p.poisoned_scratch as i64)),
-                ("wall_s", Json::F(wall.as_secs_f64())),
-                ("identical_to_threads1", Json::B(identical)),
-                ("quarantine_summary_identical", Json::B(summary_same)),
-            ]);
-            if !identical || !summary_same {
-                report.fail(format!(
-                    "faults {label} threads={threads}: output or quarantine set diverges \
-                     from threads=1"
-                ));
-            }
-            // Every quarantined pair must trace back to the plan: the
-            // corpus itself is healthy, so an unplanned entry means the
-            // fault boundary leaked.
-            for e in stats.quarantine.entries() {
-                let site = match e.stage {
-                    QuarantineStage::Align => FaultSite::Align,
-                    QuarantineStage::Codegen => FaultSite::Codegen,
-                    QuarantineStage::Verify => FaultSite::Verify,
-                    QuarantineStage::Mismatch => {
-                        report.fail(format!(
-                            "faults {label}: unexpected mismatch quarantine for {},{}",
-                            e.f1, e.f2
-                        ));
-                        continue;
-                    }
-                };
-                if !faults.fires(site, &e.f1, &e.f2) {
+            Some((rt, rs)) => (*rt == text, *rs == summary),
+        };
+        let p = stats.pipeline.unwrap_or_default();
+        println!(
+            "{:>9} {:>7} {:>9.2?} {:>8} {:>6} {:>8} {:>7} {:>10} {:>9}",
+            label,
+            threads,
+            wall,
+            stats.merges,
+            p.quarantined(),
+            p.panics_caught,
+            p.quarantined_verify,
+            if identical { "yes" } else { "NO" },
+            if summary_same { "same" } else { "DIFFERS" }
+        );
+        report.record(&[
+            ("experiment", Json::S("faults".into())),
+            ("plan", Json::S(label.into())),
+            ("functions", Json::I(n as i64)),
+            ("threads", Json::I(threads as i64)),
+            ("rate_ppm", Json::I(faults.rate_ppm as i64)),
+            ("merges", Json::I(stats.merges as i64)),
+            ("quarantined", Json::I(p.quarantined() as i64)),
+            ("quarantined_align", Json::I(p.quarantined_align as i64)),
+            ("quarantined_codegen", Json::I(p.quarantined_codegen as i64)),
+            ("quarantined_verify", Json::I(p.quarantined_verify as i64)),
+            ("panics_caught", Json::I(p.panics_caught as i64)),
+            ("wall_s", Json::F(wall.as_secs_f64())),
+            ("identical_to_threads1", Json::B(identical)),
+            ("quarantine_summary_identical", Json::B(summary_same)),
+        ]);
+        if !identical || !summary_same {
+            report.fail(format!(
+                "faults {label} threads={threads}: output or quarantine set diverges \
+                 from threads=1"
+            ));
+        }
+        // Every quarantined pair must trace back to the plan: the
+        // corpus itself is healthy, so an unplanned entry means the
+        // fault boundary leaked.
+        for e in stats.quarantine.entries() {
+            let site = match e.stage {
+                QuarantineStage::Align => FaultSite::Align,
+                QuarantineStage::Codegen => FaultSite::Codegen,
+                QuarantineStage::Verify => FaultSite::Verify,
+                QuarantineStage::Mismatch => {
                     report.fail(format!(
-                        "faults {label}: pair {},{} quarantined at {} without a planned fault",
-                        e.f1, e.f2, e.stage
+                        "faults {label}: unexpected mismatch quarantine for {},{}",
+                        e.f1, e.f2
                     ));
+                    continue;
                 }
-            }
-            match label {
-                "injected" => {
-                    if p.quarantined() == 0 {
-                        report.fail(format!(
-                            "faults {label} threads={threads}: plan fired no quarantines — \
-                             the matrix is not exercising the boundaries"
-                        ));
-                    }
-                }
-                _ => {
-                    if p.quarantined() > 0 {
-                        report.fail(format!(
-                            "faults {label} threads={threads}: scratch poison must degrade, \
-                             not quarantine ({} quarantined)",
-                            p.quarantined()
-                        ));
-                    }
-                    if threads > 1 && p.poisoned_scratch == 0 {
-                        report.fail(format!(
-                            "faults {label} threads={threads}: poison plan never poisoned \
-                             a scratch body"
-                        ));
-                    }
-                    if text != clean_text {
-                        report.fail(format!(
-                            "faults {label} threads={threads}: degraded output differs from \
-                             the fault-free run"
-                        ));
-                    }
-                }
+            };
+            if !faults.fires(site, &e.f1, &e.f2) {
+                report.fail(format!(
+                    "faults {label}: pair {},{} quarantined at {} without a planned fault",
+                    e.f1, e.f2, e.stage
+                ));
             }
         }
+        if p.quarantined() == 0 {
+            report.fail(format!(
+                "faults {label} threads={threads}: plan fired no quarantines — \
+                 the matrix is not exercising the boundaries"
+            ));
+        }
     }
-    println!(
-        "(injected faults quarantine deterministically on the commit path; spec-wave \
-         faults degrade to inline codegen with no quarantine)"
-    );
+    println!("(injected faults quarantine deterministically on the commit path)");
 }
 
 // ---------------------------------------------------------------- ablation
@@ -1956,11 +1868,7 @@ fn obs(fast: bool, report: &mut Report) {
             }
         };
         check("total()", d.total(), st.attempted as u64);
-        check(
-            "Merged+ConflictFallback",
-            d.count(O::Merged) + d.count(O::ConflictFallback),
-            st.merges as u64,
-        );
+        check("Merged", d.count(O::Merged), st.merges as u64);
         if let Some(p) = st.pipeline.as_ref() {
             check("GateSkipped", d.count(O::GateSkipped), p.gate_skipped as u64);
             check("BudgetSkipped", d.count(O::BudgetSkipped), p.budget_skipped as u64);
@@ -1991,7 +1899,6 @@ fn obs(fast: bool, report: &mut Report) {
         ("attempted", Json::I(par_stats.attempted as i64)),
         ("decisions_total", Json::I(par_stats.decisions.total() as i64)),
         ("merged", Json::I(par_stats.decisions.count(O::Merged) as i64)),
-        ("conflict_fallback", Json::I(par_stats.decisions.count(O::ConflictFallback) as i64)),
         ("unprofitable", Json::I(par_stats.decisions.count(O::Unprofitable) as i64)),
         ("reconciled", Json::B(seq_ok && par_ok)),
     ]);

@@ -5,7 +5,7 @@
 //! fmsa_opt <input.fir|input.wasm> [--technique identical|soa|fmsa]
 //!          [--threshold N] [--oracle] [--arch x86-64|arm-thumb]
 //!          [--canonicalize] [--search exact|lsh|auto] [--threads N]
-//!          [--spec-depth N] [--spec-batch N] [--exclude name,name]
+//!          [--spec-batch N] [--exclude name,name]
 //!          [--stats] [--trace-out trace.json]
 //!          [--explain-merges decisions.jsonl] [-o <output.fir>]
 //! ```
@@ -20,11 +20,8 @@
 //! workers (default 1, `0` = available parallelism); output is
 //! bit-identical at every thread count and to the paper reference
 //! driver (see `fmsa_core::pipeline`). `--oracle` runs the reference
-//! driver and requires one thread. `--spec-depth N` bounds how many of
-//! each subject's promising candidates get speculative merge codegen
-//! per generation (`0` disables speculation, default: all) and
-//! `--spec-batch N` fixes the subjects scheduled per generation
-//! (default: auto); speculation only runs with more than one thread.
+//! driver and requires one thread. `--spec-batch N` fixes the subjects
+//! scheduled per generation (`0` = whole frontier, the default).
 //!
 //! The `fmsa` technique is one [`fmsa::Config`] fed to [`fmsa::optimize`]
 //! — the same call the `fmsa-serve` daemon makes per upload, which is why
@@ -76,7 +73,7 @@ fn main() -> ExitCode {
             "usage: fmsa_opt <input.fir|input.wasm> [--technique identical|soa|fmsa] \
              [--threshold N] [--oracle] [--arch x86-64|arm-thumb] \
              [--canonicalize] [--search exact|lsh|auto] [--threads N] \
-             [--spec-depth N] [--spec-batch N] [--exclude a,b] [--stats] \
+             [--spec-batch N] [--exclude a,b] [--stats] \
              [--trace-out trace.json] [--explain-merges out.jsonl] [-o out.fir]"
         );
         return ExitCode::from(2);
@@ -90,7 +87,6 @@ fn main() -> ExitCode {
     let mut canonicalize = false;
     let mut search = SearchStrategy::Auto;
     let mut threads: Option<usize> = None;
-    let mut spec_depth: Option<usize> = None;
     let mut spec_batch: Option<usize> = None;
     let mut exclude: HashSet<String> = HashSet::new();
     let mut stats = false;
@@ -123,17 +119,10 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--spec-depth" => match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => spec_depth = Some(n),
-                _ => {
-                    eprintln!("fmsa_opt: --spec-depth needs a number (0 disables speculation)");
-                    return ExitCode::from(2);
-                }
-            },
             "--spec-batch" => match it.next().as_deref().map(str::parse) {
                 Some(Ok(n)) => spec_batch = Some(n),
                 _ => {
-                    eprintln!("fmsa_opt: --spec-batch needs a number (0 = auto)");
+                    eprintln!("fmsa_opt: --spec-batch needs a number (0 = whole frontier)");
                     return ExitCode::from(2);
                 }
             },
@@ -201,9 +190,6 @@ fn main() -> ExitCode {
         .faults(FaultPlan::from_env().unwrap_or_default());
     if let Some(n) = threads {
         cfg = cfg.parallel(n);
-    }
-    if let Some(d) = spec_depth {
-        cfg = cfg.spec_depth(d);
     }
     if let Some(b) = spec_batch {
         cfg = cfg.batch(b);
@@ -316,11 +302,9 @@ fn main() -> ExitCode {
             use fmsa::telemetry::DecisionOutcome as O;
             eprintln!(
                 "fmsa_opt: {technique}: decisions: attempted={} merged={} \
-                 conflict_fallback={} unprofitable={} gate_skipped={} budget_skipped={} \
-                 quarantined={} failed={}",
+                 unprofitable={} gate_skipped={} budget_skipped={} quarantined={} failed={}",
                 d.total(),
                 d.count(O::Merged),
-                d.count(O::ConflictFallback),
                 d.count(O::Unprofitable),
                 d.count(O::GateSkipped),
                 d.count(O::BudgetSkipped),

@@ -72,19 +72,13 @@ pub struct Config {
     /// configuration on a single core. Output is bit-identical at every
     /// thread count.
     pub threads: usize,
-    /// Subjects scheduled per generation (`0` = whole frontier, bounded
-    /// automatically while speculating). Smaller batches waste less
-    /// speculative work when commits invalidate scheduled attempts, at
-    /// the cost of more prepare/commit barriers.
+    /// Subjects scheduled per generation (`0` = whole frontier). Smaller
+    /// batches waste fewer prepared alignments when commits invalidate
+    /// scheduled attempts, at the cost of more prepare/commit barriers.
     pub batch: usize,
-    /// How many of each subject's promising candidates get speculative
-    /// merge codegen in the prepare stage (`0` disables speculation,
-    /// default: all). No effect with one thread.
-    pub spec_depth: usize,
     /// Deterministic fault injection (tests, `experiments faults`,
-    /// `FMSA_FAULTS`): forces panics, verifier rejections or scratch
-    /// corruption at the plan's sites, which the pipeline must
-    /// quarantine or degrade — see [`crate::faults`].
+    /// `FMSA_FAULTS`): forces panics or verifier rejections at the plan's
+    /// sites, which the pipeline must quarantine — see [`crate::faults`].
     pub faults: FaultPlan,
     /// Run LLVM-style identical-function merging before FMSA — what
     /// `fmsa_opt --technique fmsa` has always done, and what the paper's
@@ -109,7 +103,6 @@ impl Default for Config {
             budget: fmsa_align::AlignmentBudget::default(),
             threads: 1,
             batch: 0,
-            spec_depth: usize::MAX,
             faults: FaultPlan::disabled(),
             identical_prepass: true,
             fail_on_quarantine: false,
@@ -200,12 +193,6 @@ impl Config {
     /// Sets the pipeline generation batch size.
     pub fn batch(mut self, batch: usize) -> Config {
         self.batch = batch;
-        self
-    }
-
-    /// Sets the pipeline speculation depth.
-    pub fn spec_depth(mut self, depth: usize) -> Config {
-        self.spec_depth = depth;
         self
     }
 

@@ -1,12 +1,12 @@
 //! Deterministic fault injection for the merge pipeline.
 //!
-//! A [`FaultPlan`] forces failures — worker panics, verifier rejections,
-//! poisoned scratch modules — at named pipeline sites, standing in for
-//! the real bugs the fault-isolation machinery exists to survive. The
-//! plan is a pure function of its seed and the *names* of the function
-//! pair at each site, so the same pairs fault at every thread count,
-//! batch size, and speculation depth: the quarantine set a faulted run
-//! produces is reproducible from `(seed, rate, sites)` alone.
+//! A [`FaultPlan`] forces failures — worker panics and verifier
+//! rejections — at named pipeline sites, standing in for the real bugs
+//! the fault-isolation machinery exists to survive. The plan is a pure
+//! function of its seed and the *names* of the function pair at each
+//! site, so the same pairs fault at every thread count and batch size:
+//! the quarantine set a faulted run produces is reproducible from
+//! `(seed, rate, sites)` alone.
 //!
 //! Plans come from three places: explicit construction ([`FaultPlan::new`],
 //! used by tests and `experiments faults`), a spec string
@@ -15,7 +15,7 @@
 //! comma-separated `key=value` fields:
 //!
 //! ```text
-//! FMSA_FAULTS="seed=7,rate_ppm=20000,sites=align|codegen|verify|scratch"
+//! FMSA_FAULTS="seed=7,rate_ppm=20000,sites=align|codegen|verify"
 //! FMSA_FAULTS="seed=3,rate_ppm=50000,sites=store-write|store-fsync|store-rename"
 //! ```
 //!
@@ -38,16 +38,12 @@ pub enum FaultSite {
     /// commit stage's inline recompute — the fault follows the pair, not
     /// the thread, so quarantine decisions stay thread-independent).
     Align,
-    /// Panic inside merge code generation (speculative build and the
-    /// authoritative inline path alike).
+    /// Panic inside merge code generation (the commit stage's inline
+    /// build).
     Codegen,
     /// The merged body is reported invalid by the verifier even when it
     /// is well-formed.
     Verify,
-    /// The speculative scratch body is corrupted after a successful
-    /// build — the commit stage must catch it by re-verification and
-    /// degrade to inline codegen.
-    ScratchPoison,
     /// A store log append fails with an I/O error before any byte is
     /// written (the record is atomically absent, standing in for ENOSPC
     /// or a pulled disk).
@@ -62,11 +58,10 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in declaration order.
-    pub const ALL: [FaultSite; 7] = [
+    pub const ALL: [FaultSite; 6] = [
         FaultSite::Align,
         FaultSite::Codegen,
         FaultSite::Verify,
-        FaultSite::ScratchPoison,
         FaultSite::StoreWrite,
         FaultSite::StoreFsync,
         FaultSite::StoreRename,
@@ -78,7 +73,6 @@ impl FaultSite {
             FaultSite::Align => "align",
             FaultSite::Codegen => "codegen",
             FaultSite::Verify => "verify",
-            FaultSite::ScratchPoison => "scratch",
             FaultSite::StoreWrite => "store-write",
             FaultSite::StoreFsync => "store-fsync",
             FaultSite::StoreRename => "store-rename",
@@ -95,7 +89,6 @@ impl FaultSite {
             FaultSite::Align => 1,
             FaultSite::Codegen => 2,
             FaultSite::Verify => 4,
-            FaultSite::ScratchPoison => 8,
             FaultSite::StoreWrite => 16,
             FaultSite::StoreFsync => 32,
             FaultSite::StoreRename => 64,
@@ -294,7 +287,6 @@ mod tests {
         assert!(plan.fires(FaultSite::Verify, "a", "b"));
         assert!(!plan.fires(FaultSite::Align, "a", "b"));
         assert!(!plan.fires(FaultSite::Codegen, "a", "b"));
-        assert!(!plan.fires(FaultSite::ScratchPoison, "a", "b"));
     }
 
     #[test]
@@ -323,14 +315,15 @@ mod tests {
     #[test]
     fn parse_round_trips() {
         let plan =
-            FaultPlan::parse("seed=42, rate_ppm=20000, sites=align|scratch").expect("parses");
+            FaultPlan::parse("seed=42, rate_ppm=20000, sites=align|codegen").expect("parses");
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.rate_ppm, 20_000);
         assert!(plan.enables(FaultSite::Align));
-        assert!(plan.enables(FaultSite::ScratchPoison));
+        assert!(plan.enables(FaultSite::Codegen));
         assert!(!plan.enables(FaultSite::Verify));
         assert_eq!(FaultPlan::parse("").expect("empty is disabled"), FaultPlan::disabled());
         assert!(FaultPlan::parse("sites=bogus").is_err());
+        assert!(FaultPlan::parse("sites=scratch").is_err());
         assert!(FaultPlan::parse("seed=x").is_err());
         assert!(FaultPlan::parse("nonsense").is_err());
     }

@@ -14,28 +14,27 @@
 //!    a shared read-only index — snapshot the per-function mutation
 //!    generation of every pair, and pre-fill the [`LinearizationCache`]
 //!    (misses linearized on the worker pool, inserted sequentially).
-//! 2. **Prepare** (parallel): for every distinct `(subject, candidate)`
-//!    pair, a worker computes the alignment (under the
-//!    [`fmsa_align::AlignmentBudget`] of [`Config::budget`]) and the
-//!    pre-codegen profitability gate
-//!    ([`crate::profitability::optimistic_delta`]). A second parallel
-//!    wave then runs **speculative merge codegen**
-//!    ([`crate::merge::speculate_merge`]) for each subject's first
-//!    promising candidate, building the merged body in a per-worker
-//!    scratch module. Workers only read the main module; all results are
-//!    speculative.
+//! 2. **Prepare** (parallel, multi-threaded runs only): for every
+//!    distinct `(subject, candidate)` pair, a worker computes the
+//!    alignment (under the [`fmsa_align::AlignmentBudget`] of
+//!    [`Config::budget`]) and the pre-codegen profitability gate
+//!    ([`crate::profitability::optimistic_delta`]). Workers only read the
+//!    main module; nothing they produce is trusted without re-validation.
 //! 3. **Commit** (sequential): subjects are visited in the exact order
 //!    the reference driver would visit them. Each prepared attempt is
 //!    re-validated — if either function mutated since it was scheduled,
 //!    or an earlier commit dirtied the candidate index, the stale part is
-//!    recomputed inline. A fresh speculative body is **transplanted**
-//!    into the main module ([`crate::merge::commit_speculative`]); a
-//!    conflict (either input mutated since scheduling) discards the
-//!    scratch body and falls back to direct sequential codegen. Exact
+//!    recomputed inline. Every merged body is built here, inline, by
+//!    [`crate::merge::merge_pair_aligned`] behind a fault boundary; exact
 //!    profitability ([`crate::profitability::evaluate_indexed`]) and the
-//!    §III-A commit run here, feeding accepted merges back into the
-//!    search index, the linearization cache, the call-site index, and
-//!    the next generation's worklist.
+//!    §III-A commit follow, feeding accepted merges back into the search
+//!    index, the linearization cache, the call-site index, and the next
+//!    generation's worklist.
+//!
+//! Merged bodies are built once, at the attempt that decides them, as in
+//! the paper's driver. Building them ahead of time on the prepare workers
+//! (in scratch modules, transplanted at commit) was measured on a 2-core
+//! host and never paid for itself; `docs/pipeline.md` has the numbers.
 //!
 //! Accepted merges whose call-graph update provably interacts with
 //! nothing else in the generation — every deletable side has zero
@@ -59,7 +58,7 @@
 //! count** (as long as the alignment budget never triggers, which the
 //! default budget guarantees at paper scale). Parallelism only moves
 //! *where* alignments are computed; staleness is handled by
-//! re-validation, never by accepting a speculative result blindly.
+//! re-validation, never by accepting a prepared result blindly.
 //!
 //! The oracle mode explores every candidate of every subject and commits
 //! the global best per subject; its upper-bound claim depends on
@@ -72,10 +71,7 @@ use crate::equivalence::EquivCtx;
 use crate::faults::FaultSite;
 use crate::fingerprint::Fingerprint;
 use crate::linearize::{Entry, LinearizationCache};
-use crate::merge::{
-    commit_speculative, evaluate_speculative, merge_pair_aligned, speculate_merge, AlignAlgo,
-    MergeInfo, SpeculativeMerge,
-};
+use crate::merge::{merge_pair_aligned, AlignAlgo, MergeInfo};
 use crate::pass::{run_fmsa, seed_pass, FmsaStats, SeededPass};
 use crate::profitability::{evaluate_indexed, optimistic_delta, ProfitReport};
 use crate::quarantine::{panic_message, QuarantineStage};
@@ -100,7 +96,7 @@ pub struct PipelineStats {
     pub threads: usize,
     /// Schedule/prepare/commit generations executed.
     pub generations: usize,
-    /// Attempts aligned speculatively by the prepare stage.
+    /// Attempts aligned ahead of commit by the prepare stage.
     pub prepared: usize,
     /// Prepared alignments consumed unchanged by the commit stage.
     pub reused: usize,
@@ -111,20 +107,12 @@ pub struct PipelineStats {
     pub gate_skipped: usize,
     /// Attempts abandoned by the alignment budget's length cap.
     pub budget_skipped: usize,
-    /// Merged bodies built speculatively by the prepare stage.
+    /// Always zero: the pipeline builds no merged body ahead of commit.
+    /// Kept only because the repository benchmark reads it.
     pub spec_built: usize,
-    /// Speculative bodies consumed unmodified by the commit stage:
-    /// profitability was decided on the scratch build, and profitable
-    /// bodies were transplanted. Replaces one sequential codegen each.
-    pub spec_used: usize,
-    /// Of [`PipelineStats::spec_used`], merges committed from a
-    /// transplanted speculative body (the rest evaluated unprofitable
-    /// and were discarded without ever touching the main module).
+    /// Always zero, like [`PipelineStats::spec_built`] and for the same
+    /// reason.
     pub spec_committed: usize,
-    /// Speculative bodies discarded by a conflict (input mutated since
-    /// scheduling, or the transplant could not resolve a reference); the
-    /// commit stage fell back to direct sequential codegen.
-    pub spec_fallback: usize,
     /// Wall-clock of the schedule stage — the sum of
     /// [`PipelineStats::schedule_query`] and
     /// [`PipelineStats::schedule_prefill`], kept as the stage total.
@@ -140,38 +128,23 @@ pub struct PipelineStats {
     /// phases. `schedule_cpu / schedule` is the stage's effective
     /// parallelism; at one thread the two are equal minus loop overhead.
     pub schedule_cpu: Duration,
-    /// Wall-clock of the parallel prepare stage (alignment + speculative
-    /// codegen waves).
+    /// Wall-clock of the parallel prepare stage (alignment and Δ gate).
     pub prepare: Duration,
-    /// Summed per-task compute time inside the prepare stage's waves
-    /// (the CPU time behind the [`PipelineStats::prepare`] wall).
+    /// Summed per-task compute time inside the prepare stage (the CPU
+    /// time behind the [`PipelineStats::prepare`] wall).
     pub prepare_cpu: Duration,
-    /// Of [`PipelineStats::prepare`], the speculative-codegen wave.
-    pub spec_codegen: Duration,
     /// Wall-clock of the sequential commit stage.
     pub commit: Duration,
     /// Of [`PipelineStats::commit`], time spent producing merged bodies
-    /// (transplants plus fallback codegen plus profitability). This is the
-    /// serial-codegen cost the speculative path exists to shrink.
+    /// (codegen, verification and profitability).
     pub commit_codegen: Duration,
-    /// Of [`PipelineStats::commit_codegen`], the transplant splices alone.
+    /// Always zero, like [`PipelineStats::spec_built`] and for the same
+    /// reason.
     pub transplant: Duration,
     /// Of [`PipelineStats::commit`], the call-graph update (call-site
     /// rewriting + thunking) — executed as a partitioned rewrite plan on
     /// the worker pool ([`crate::thunks::RewritePlan`]).
     pub rewrite: Duration,
-    /// Scratch modules whose type store was shared entirely by reference
-    /// (copy-on-write frozen prefix): setup copied zero types.
-    pub scratch_cow_shared: usize,
-    /// Scratch modules that had to copy at least one type eagerly (donor
-    /// store interned types after its last freeze).
-    pub scratch_cloned: usize,
-    /// Types interned into scratch suffixes by speculative builds (the
-    /// suffix re-interned into the main store on transplant/discard).
-    pub scratch_suffix_types: usize,
-    /// Estimated heap bytes the shared frozen prefixes avoided copying
-    /// (see [`fmsa_ir::ScratchSetup::bytes_avoided`]).
-    pub scratch_bytes_avoided: u64,
     /// Pairs quarantined because sequence alignment panicked.
     pub quarantined_align: usize,
     /// Pairs quarantined because merge codegen panicked.
@@ -184,10 +157,6 @@ pub struct PipelineStats {
     /// commit stage's inline retry is caught twice at `threads > 1` and
     /// once at `threads == 1`.
     pub panics_caught: usize,
-    /// Speculative bodies rejected by re-verification at commit (the
-    /// scratch build was corrupted or the transplant produced an invalid
-    /// body); the pipeline degraded to inline codegen, no quarantine.
-    pub poisoned_scratch: usize,
     /// Differential mismatches attributed to this run by an external
     /// driver (the fuzz farm); the pipeline itself never sets it.
     pub mismatches: usize,
@@ -208,14 +177,6 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Fraction of commit-stage merge bodies that consumed a speculative
-    /// build unmodified (`spec_used / (spec_used + spec_fallback)`);
-    /// `None` when no speculative body reached commit.
-    pub fn spec_hit_rate(&self) -> Option<f64> {
-        let total = self.spec_used + self.spec_fallback;
-        (total > 0).then(|| self.spec_used as f64 / total as f64)
-    }
-
     /// Total pairs quarantined, across all stages.
     pub fn quarantined(&self) -> usize {
         self.quarantined_align + self.quarantined_codegen + self.quarantined_verify
@@ -233,30 +194,19 @@ impl PipelineStats {
         self.recomputed += other.recomputed;
         self.gate_skipped += other.gate_skipped;
         self.budget_skipped += other.budget_skipped;
-        self.spec_built += other.spec_built;
-        self.spec_used += other.spec_used;
-        self.spec_committed += other.spec_committed;
-        self.spec_fallback += other.spec_fallback;
         self.schedule += other.schedule;
         self.schedule_query += other.schedule_query;
         self.schedule_prefill += other.schedule_prefill;
         self.schedule_cpu += other.schedule_cpu;
         self.prepare += other.prepare;
         self.prepare_cpu += other.prepare_cpu;
-        self.spec_codegen += other.spec_codegen;
         self.commit += other.commit;
         self.commit_codegen += other.commit_codegen;
-        self.transplant += other.transplant;
         self.rewrite += other.rewrite;
-        self.scratch_cow_shared += other.scratch_cow_shared;
-        self.scratch_cloned += other.scratch_cloned;
-        self.scratch_suffix_types += other.scratch_suffix_types;
-        self.scratch_bytes_avoided += other.scratch_bytes_avoided;
         self.quarantined_align += other.quarantined_align;
         self.quarantined_codegen += other.quarantined_codegen;
         self.quarantined_verify += other.quarantined_verify;
         self.panics_caught += other.panics_caught;
-        self.poisoned_scratch += other.poisoned_scratch;
         self.mismatches += other.mismatches;
         self.commit_barriers += other.commit_barriers;
         self.batched_merges += other.batched_merges;
@@ -268,7 +218,7 @@ impl PipelineStats {
     /// `experiments ... --json`, and the daemon's registry gauges, so a
     /// counter added here can never drift out of any of them.
     pub fn fields(&self) -> Vec<(&'static str, StatValue)> {
-        use StatValue::{Count, Ratio, Secs};
+        use StatValue::{Count, Secs};
         vec![
             ("threads", Count(self.threads as u64)),
             ("generations", Count(self.generations as u64)),
@@ -283,29 +233,17 @@ impl PipelineStats {
             ("schedule_cpu_s", Secs(self.schedule_cpu.as_secs_f64())),
             ("prepare_s", Secs(self.prepare.as_secs_f64())),
             ("prepare_cpu_s", Secs(self.prepare_cpu.as_secs_f64())),
-            ("spec_codegen_s", Secs(self.spec_codegen.as_secs_f64())),
             ("commit_s", Secs(self.commit.as_secs_f64())),
             ("commit_codegen_s", Secs(self.commit_codegen.as_secs_f64())),
-            ("transplant_s", Secs(self.transplant.as_secs_f64())),
             ("rewrite_s", Secs(self.rewrite.as_secs_f64())),
             ("commit_barriers", Count(self.commit_barriers as u64)),
             ("batched_merges", Count(self.batched_merges as u64)),
             ("batch_fallback", Count(self.batch_fallback as u64)),
-            ("scratch_cow_shared", Count(self.scratch_cow_shared as u64)),
-            ("scratch_cloned", Count(self.scratch_cloned as u64)),
-            ("scratch_suffix_types", Count(self.scratch_suffix_types as u64)),
-            ("scratch_bytes_avoided", Count(self.scratch_bytes_avoided)),
-            ("spec_built", Count(self.spec_built as u64)),
-            ("spec_used", Count(self.spec_used as u64)),
-            ("spec_committed", Count(self.spec_committed as u64)),
-            ("spec_fallback", Count(self.spec_fallback as u64)),
-            ("spec_hit_rate", Ratio(self.spec_hit_rate().unwrap_or(f64::NAN))),
             ("quarantined", Count(self.quarantined() as u64)),
             ("quarantined_align", Count(self.quarantined_align as u64)),
             ("quarantined_codegen", Count(self.quarantined_codegen as u64)),
             ("quarantined_verify", Count(self.quarantined_verify as u64)),
             ("panics_caught", Count(self.panics_caught as u64)),
-            ("poisoned_scratch", Count(self.poisoned_scratch as u64)),
         ]
     }
 
@@ -318,9 +256,7 @@ impl PipelineStats {
             let g = registry.gauge_with(&full, "pipeline counter (see PipelineStats)", &[]);
             match value {
                 StatValue::Count(v) => g.set(v as f64),
-                StatValue::Secs(v) | StatValue::Ratio(v) => {
-                    g.set(if v.is_finite() { v } else { 0.0 })
-                }
+                StatValue::Secs(v) => g.set(v),
             }
         }
     }
@@ -333,19 +269,14 @@ pub enum StatValue {
     Count(u64),
     /// A wall/CPU duration in seconds.
     Secs(f64),
-    /// A dimensionless ratio (NaN when undefined).
-    Ratio(f64),
 }
 
-/// One speculative attempt out of the prepare stage.
+/// One attempt aligned and gated by the prepare stage.
 struct Prepared {
     /// `None` when the alignment budget skipped the pair.
     alignment: Option<Alignment>,
     /// Whether the optimistic-Δ gate left the pair in play.
     promising: bool,
-    /// Speculatively generated merged body (scratch module), present for
-    /// the subject's top [`Config::spec_depth`] promising candidates.
-    spec: Option<SpeculativeMerge>,
     /// Mutation generations of `(f1, f2)` at schedule time.
     gens: (u64, u64),
     /// Global invalidation epoch at schedule time (bumped when a failed
@@ -401,7 +332,7 @@ fn align_and_gate(
 /// Runs the FMSA optimization over `module` with the merge pipeline.
 /// Produces a module bit-identical to [`run_fmsa`] for any
 /// [`Config::threads`] (see the module docs for why), in substantially
-/// less wall-clock: alignments are computed speculatively on a worker
+/// less wall-clock: alignments are computed ahead of commit on a worker
 /// pool, functions are linearized once per generation instead of once
 /// per attempt, and profitability queries hit an incremental call-site
 /// index instead of rescanning the module.
@@ -421,15 +352,13 @@ pub fn run_fmsa_pipeline(module: &mut Module, cfg: &Config) -> FmsaStats {
 
 /// The pipeline's state across generations: the seeded pass (index,
 /// fingerprints, worklist, live set), the caches that let the commit
-/// stage re-validate speculative work, the run statistics, and the
+/// stage re-validate prepared attempts, the run statistics, and the
 /// generation's pending batch of deferred merges.
 struct Driver<'c> {
     cfg: &'c Config,
     cm: CostModel,
     threads: usize,
     pool: rayon::ThreadPool,
-    /// Subjects scheduled per generation (`0` = whole frontier).
-    batch: usize,
     fingerprints: HashMap<FuncId, Fingerprint>,
     index: Box<dyn CandidateSearch>,
     worklist: VecDeque<FuncId>,
@@ -469,25 +398,11 @@ impl<'c> Driver<'c> {
         // guarantee).
         let SeededPass { fingerprints, index, worklist, live } =
             seed_pass(module, cfg, &mut stats.timers, (threads > 1).then_some(&pool));
-        // Speculative codegen holds one scratch module per prepared
-        // promising pair until the commit stage consumes (or discards)
-        // it; an unbounded generation over a multi-thousand-subject
-        // frontier would pin tens of thousands of them at once. When the
-        // user leaves `batch` at 0, bound the generation while
-        // speculating — batching is decision-neutral (property-tested),
-        // it only trades barrier count for peak memory.
-        const SPEC_DEFAULT_BATCH: usize = 256;
-        let batch = if cfg.batch == 0 && threads > 1 && cfg.spec_depth > 0 {
-            SPEC_DEFAULT_BATCH
-        } else {
-            cfg.batch
-        };
         Driver {
             cfg,
             cm,
             threads,
             pool,
-            batch,
             fingerprints,
             index,
             worklist,
@@ -527,8 +442,8 @@ impl<'c> Driver<'c> {
         let _gen_span = trace::span_with("fmsa", "generation", || {
             vec![("gen", self.pstats.generations.to_string())]
         });
-        let take =
-            if self.batch == 0 { self.worklist.len() } else { self.batch.min(self.worklist.len()) };
+        let batch = self.cfg.batch;
+        let take = if batch == 0 { self.worklist.len() } else { batch.min(self.worklist.len()) };
         let live = &self.live;
         let subjects: Vec<FuncId> = self
             .worklist
@@ -538,18 +453,10 @@ impl<'c> Driver<'c> {
         if subjects.is_empty() {
             return;
         }
-        // Freeze the type store while the module is quiescent: every
-        // scratch module the speculative wave builds then shares the
-        // store's frozen prefix by reference (copy-on-write) instead of
-        // deep-copying it per speculation. Invisible to interning
-        // semantics (ids, dedupe, order), so bit-identity is unaffected.
-        if self.threads > 1 && self.cfg.spec_depth > 0 {
-            module.types.freeze();
-        }
         let scheduled = self.schedule(&subjects);
-        let mut prepared =
+        let prepared =
             if self.threads > 1 { self.prepare(module, &scheduled) } else { PreparedMap::new() };
-        self.commit(module, scheduled, &mut prepared);
+        self.commit(module, scheduled, &prepared);
     }
 
     /// Queries every subject's top candidates against the read-only index.
@@ -579,8 +486,7 @@ impl<'c> Driver<'c> {
     }
 
     /// The parallel prepare stage (multi-threaded runs only): aligns and
-    /// gates every scheduled pair, then speculatively generates code for
-    /// each subject's top promising candidates.
+    /// gates every scheduled pair.
     fn prepare(&mut self, module: &Module, scheduled: &[(FuncId, Vec<Candidate>)]) -> PreparedMap {
         let _prep_span = trace::span("fmsa", "prepare");
         let (cfg, cm, faults) = (self.cfg, &self.cm, self.cfg.faults);
@@ -635,106 +541,9 @@ impl<'c> Driver<'c> {
             };
             self.pstats.prepared += 1;
             let gens = (self.gen_of(f1), self.gen_of(f2));
-            prepared.insert(
-                (f1, f2),
-                Prepared { alignment, promising, spec: None, gens, epoch: self.epoch },
-            );
-        }
-        if cfg.spec_depth > 0 {
-            self.speculate(module, scheduled, &mut prepared);
+            prepared.insert((f1, f2), Prepared { alignment, promising, gens, epoch: self.epoch });
         }
         prepared
-    }
-
-    /// Second prepare wave: speculative merge codegen into per-worker
-    /// scratch modules, for each subject's top `spec_depth` promising
-    /// candidates in rank order. The greedy commit stage code-generates
-    /// candidates until the first profitable one, so every body built
-    /// here for a pair the commit actually reaches replaces one
-    /// sequential codegen with a cheap transplant.
-    fn speculate(
-        &mut self,
-        module: &Module,
-        scheduled: &[(FuncId, Vec<Candidate>)],
-        prepared: &mut PreparedMap,
-    ) {
-        let _spec_span = trace::span("fmsa", "spec_codegen");
-        let (cfg, faults) = (self.cfg, self.cfg.faults);
-        let mut spec_jobs: Vec<(FuncId, FuncId)> = Vec::new();
-        let mut seen: HashSet<(FuncId, FuncId)> = HashSet::new();
-        for (f1, cands) in scheduled {
-            let mut picked = 0usize;
-            for c in cands {
-                if picked >= cfg.spec_depth {
-                    break;
-                }
-                let key = (*f1, c.func);
-                let Some(p) = prepared.get(&key) else { continue };
-                if p.promising && p.alignment.is_some() && seen.insert(key) {
-                    spec_jobs.push(key);
-                    picked += 1;
-                }
-            }
-        }
-        let t0 = Instant::now();
-        let cache = &self.lin_cache;
-        let snapshot: &PreparedMap = prepared;
-        // Fault boundary: speculative work is redundant by construction
-        // (commit can always regenerate inline), so a panicked or
-        // poisoned build degrades to `None` — the fallback path — and
-        // never decides a quarantine.
-        let spec_cpu = AtomicU64::new(0);
-        let bodies = self.pool.par_map(&spec_jobs, |_, &(f1, f2)| {
-            let _s = trace::span("fmsa", "speculate");
-            let t = Instant::now();
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                let seq1 = cache.cached(f1).expect("pre-filled");
-                let seq2 = cache.cached(f2).expect("pre-filled");
-                let (n1, n2) = (&module.func(f1).name, &module.func(f2).name);
-                if faults.fires(FaultSite::Codegen, n1, n2) {
-                    panic!("injected fault: codegen {n1} {n2}");
-                }
-                let alignment = snapshot[&(f1, f2)]
-                    .alignment
-                    .clone()
-                    .expect("speculation only targets aligned pairs");
-                let mut body =
-                    speculate_merge(module, f1, f2, &seq1, &seq2, alignment, &cfg.merge).ok();
-                if let Some(b) = body.as_mut() {
-                    if faults.fires(FaultSite::ScratchPoison, n1, n2) {
-                        b.poison_scratch();
-                    }
-                }
-                body
-            }))
-            .ok();
-            spec_cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            r
-        });
-        self.stats.timers.codegen += t0.elapsed();
-        self.pstats.prepare += t0.elapsed();
-        self.pstats.spec_codegen += t0.elapsed();
-        self.pstats.prepare_cpu += Duration::from_nanos(spec_cpu.into_inner());
-        for (key, body) in spec_jobs.into_iter().zip(bodies) {
-            let Some(body) = body else {
-                self.pstats.panics_caught += 1;
-                continue;
-            };
-            if let Some(b) = &body {
-                self.pstats.spec_built += 1;
-                let setup = b.scratch_setup();
-                if setup.is_fully_shared() {
-                    self.pstats.scratch_cow_shared += 1;
-                } else {
-                    self.pstats.scratch_cloned += 1;
-                }
-                self.pstats.scratch_suffix_types += b.suffix_types();
-                self.pstats.scratch_bytes_avoided += setup.bytes_avoided();
-            }
-            // A build error is left as `None`: commit will replay the
-            // identical failure through direct codegen.
-            prepared.get_mut(&key).expect("prepared above").spec = body;
-        }
     }
 
     /// The sequential commit stage: visits the generation's subjects in
@@ -744,7 +553,7 @@ impl<'c> Driver<'c> {
         &mut self,
         module: &mut Module,
         scheduled: Vec<(FuncId, Vec<Candidate>)>,
-        prepared: &mut PreparedMap,
+        prepared: &PreparedMap,
     ) {
         let _commit_span = trace::span("fmsa", "commit");
         let t_commit = Instant::now();
@@ -774,8 +583,8 @@ impl<'c> Driver<'c> {
             }
         }
         // End-of-generation flush: nothing pends across generations —
-        // the next schedule must see final bodies before freezing the
-        // type store and handing shared references to the workers.
+        // the next schedule must see final bodies before handing shared
+        // references to the workers.
         self.flush(module);
         self.pstats.commit += t_commit.elapsed();
     }
@@ -791,7 +600,7 @@ impl<'c> Driver<'c> {
         f1: FuncId,
         pos: usize,
         cand: &Candidate,
-        prepared: &mut PreparedMap,
+        prepared: &PreparedMap,
     ) -> bool {
         let (f2, cfg, faults) = (cand.func, self.cfg, self.cfg.faults);
         self.stats.attempted += 1;
@@ -820,29 +629,14 @@ impl<'c> Driver<'c> {
                 outcome,
             }
         };
-        // Did this attempt discard a speculative body (conflict /
-        // fallback)? A merge that still commits is then reported as
-        // `conflict-fallback` instead of plain `merged`.
-        let mut att_fallback = false;
-        let mut spec_body: Option<SpeculativeMerge> = None;
-        let (alignment, promising) = match prepared.get_mut(&(f1, f2)) {
+        let (alignment, promising) = match prepared.get(&(f1, f2)) {
             Some(p) if p.gens == gens_now && p.epoch == self.epoch => {
                 self.pstats.reused += 1;
-                spec_body = p.spec.take();
                 (p.alignment.clone(), p.promising)
             }
-            stale => {
+            _ => {
                 if self.threads > 1 {
                     self.pstats.recomputed += 1;
-                }
-                // Conflict rule: an input mutated since scheduling (or
-                // the epoch advanced), so the scratch body was built
-                // against a state the module no longer has. Discard and
-                // count it here — the recomputed pair may be budget- or
-                // gate-skipped before reaching the codegen point below.
-                if stale.and_then(|p| p.spec.take()).is_some() {
-                    self.pstats.spec_fallback += 1;
-                    att_fallback = true;
                 }
                 let t0 = Instant::now();
                 // Fault boundary: this inline recompute is the
@@ -884,65 +678,13 @@ impl<'c> Driver<'c> {
             return false;
         }
         let t0 = Instant::now();
-        // An injected verifier fault must produce the same quarantine at
-        // every thread count, so it is decided on the inline path below
-        // (the only path all thread counts share); a pending speculative
-        // body is discarded first. A speculative body built on another
-        // thread is only trusted after re-verifying it in its scratch
-        // module — a corrupted build must degrade to inline codegen (the
-        // sequential result), never reach the main module.
-        let verify_inject = faults.fires(FaultSite::Verify, &n1, &n2);
-        if let Some(spec) = spec_body.take_if(|spec| verify_inject || !spec.body_valid()) {
-            if !verify_inject {
-                self.pstats.poisoned_scratch += 1;
-            }
-            spec.discard_into(module);
-            self.pstats.spec_fallback += 1;
-            att_fallback = true;
-        }
         // `outcome`: a merged function present in the module plus its
         // profitability, or `Err` with the attempt's final record when
-        // it is over (codegen failure, a quarantined pair, or a
-        // speculative body that evaluated unprofitable and was discarded
-        // without a transplant).
+        // it is over (codegen failure or a quarantined pair).
         let outcome: Result<(MergeInfo, ProfitReport), DecisionRecord> = 'attempt: {
-            if let Some(spec) = spec_body {
-                // Profitability is decided on the scratch body; only
-                // profitable merges pay for a transplant.
-                let report = evaluate_speculative(module, &self.cm, &spec, &self.call_sites);
-                if !report.is_profitable() {
-                    // The reference driver would have generated this body
-                    // and discarded it; replay its type interning and
-                    // reject the attempt.
-                    spec.discard_into(module);
-                    self.pstats.spec_used += 1;
-                    break 'attempt Err(rec(
-                        align_score,
-                        Some(report.delta),
-                        DecisionOutcome::Unprofitable,
-                    ));
-                }
-                // An unresolvable cross-module reference (`Err`) or an
-                // invalid transplant regenerates inline below: the
-                // reference driver would have built this body inline
-                // successfully, so degrade without quarantine.
-                let t_tr = Instant::now();
-                if let Ok(info) = commit_speculative(module, spec, &cfg.merge) {
-                    self.pstats.transplant += t_tr.elapsed();
-                    if fmsa_ir::verify_function(module, info.merged).is_empty() {
-                        self.pstats.spec_used += 1;
-                        self.pstats.spec_committed += 1;
-                        break 'attempt Ok((info, report));
-                    }
-                    module.remove_function(info.merged);
-                    self.pstats.poisoned_scratch += 1;
-                }
-                self.pstats.spec_fallback += 1;
-                att_fallback = true;
-            }
-            // Authoritative inline codegen, behind a fault boundary: this
-            // path runs identically at every thread count, so its panics
-            // (and verifier rejections of its output) decide quarantine.
+            // Inline codegen, behind a fault boundary: this path runs
+            // identically at every thread count, so its panics (and
+            // verifier rejections of its output) decide quarantine.
             let arena_mark = module.func_arena_len();
             let built = catch_unwind(AssertUnwindSafe(|| {
                 if faults.fires(FaultSite::Codegen, &n1, &n2) {
@@ -981,6 +723,7 @@ impl<'c> Driver<'c> {
             // a real bug in codegen (or an injected verifier fault), so
             // the pair is quarantined.
             let errs = fmsa_ir::verify_function(module, info.merged);
+            let verify_inject = faults.fires(FaultSite::Verify, &n1, &n2);
             if verify_inject || !errs.is_empty() {
                 let reason = if verify_inject {
                     format!("injected fault: verify {n1} {n2}")
@@ -998,18 +741,8 @@ impl<'c> Driver<'c> {
         self.pstats.commit_codegen += t0.elapsed();
         match outcome {
             Ok((info, report)) if report.is_profitable() => {
-                let outcome = if att_fallback {
-                    DecisionOutcome::ConflictFallback
-                } else {
-                    DecisionOutcome::Merged
-                };
-                self.accept(
-                    module,
-                    f1,
-                    info,
-                    pos + 1,
-                    rec(align_score, Some(report.delta), outcome),
-                );
+                let merged = rec(align_score, Some(report.delta), DecisionOutcome::Merged);
+                self.accept(module, f1, info, pos + 1, merged);
                 true
             }
             Ok((info, report)) => {
@@ -1234,8 +967,8 @@ impl<'c> Driver<'c> {
         self.pstats.commit_barriers += 1;
     }
 
-    /// Rebuilds the caches from the module and invalidates all
-    /// speculative work — after a failed commit or flush, which may leave
+    /// Rebuilds the caches from the module and invalidates every prepared
+    /// attempt — after a failed commit or flush, which may leave
     /// the module in a state the per-function generations cannot
     /// describe.
     fn resync(&mut self, module: &Module) {
@@ -1339,52 +1072,9 @@ mod tests {
         assert!(p.generations >= 1);
         assert!(p.prepared > 0);
         assert!(p.reused > 0);
-        assert!(fmsa_ir::verify_module(&m).is_empty());
-    }
-
-    #[test]
-    fn speculative_codegen_depths_match_sequential() {
-        // 0 = no speculation, 1 = top candidate only,
-        // MAX = every prepared pair; all must be decision-invisible.
-        for spec_depth in [0, 1, usize::MAX] {
-            assert_matches_sequential(&t5().parallel(4).spec_depth(spec_depth));
-        }
-    }
-
-    #[test]
-    fn speculative_bodies_are_built_and_committed() {
-        let mut m = Module::new("m");
-        clone_family(&mut m, 6, 12);
-        let stats = run_fmsa_pipeline(&mut m, &t5().parallel(4));
-        let p = stats.pipeline.expect("pipeline stats");
-        assert!(p.spec_built > 0, "prepare must build speculative bodies: {p:?}");
-        assert!(p.spec_committed > 0, "commit must transplant fresh bodies: {p:?}");
-        assert!(p.spec_committed <= p.spec_used, "transplants are a subset of used: {p:?}");
-        assert!(
-            p.spec_used + p.spec_fallback <= p.spec_built + p.recomputed,
-            "accounting sanity: {p:?}"
-        );
-        assert!(fmsa_ir::verify_module(&m).is_empty());
-    }
-
-    #[test]
-    fn scratch_stores_are_cow_shared_and_rewrite_timer_reported() {
-        let mut m = Module::new("m");
-        clone_family(&mut m, 6, 12);
-        let stats = run_fmsa_pipeline(&mut m, &t5().parallel(4));
-        let p = stats.pipeline.expect("pipeline stats");
-        assert!(p.spec_built > 0, "speculation must run: {p:?}");
-        assert_eq!(
-            p.scratch_cow_shared + p.scratch_cloned,
-            p.spec_built,
-            "every built body accounts its scratch setup: {p:?}"
-        );
-        // The store is frozen at schedule time, so at least the first
-        // generation's scratches share it entirely by reference.
-        assert!(p.scratch_cow_shared > 0, "frozen donor must be COW-shared: {p:?}");
-        assert!(p.scratch_bytes_avoided > 0, "{p:?}");
         assert!(p.rewrite > Duration::ZERO, "commits must book rewrite time: {p:?}");
         assert!(p.rewrite <= p.commit, "{p:?}");
+        assert!(fmsa_ir::verify_module(&m).is_empty());
     }
 
     #[test]
@@ -1425,13 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_hit_rate_reported() {
-        let p = PipelineStats { spec_used: 3, spec_fallback: 1, ..PipelineStats::default() };
-        assert_eq!(p.spec_hit_rate(), Some(0.75));
-        assert_eq!(PipelineStats::default().spec_hit_rate(), None);
-    }
-
-    #[test]
     fn injected_faults_quarantine_deterministically() {
         use crate::faults::{FaultPlan, FaultSite};
         crate::faults::silence_injected_panics();
@@ -1457,26 +1140,6 @@ mod tests {
         }
         let (_, summary, _) = baseline.expect("ran");
         assert!(!summary.is_empty(), "this plan must quarantine something");
-    }
-
-    #[test]
-    fn scratch_poison_degrades_without_quarantine() {
-        use crate::faults::{FaultPlan, FaultSite};
-        // Poison every scratch body: the pipeline must fall back to
-        // inline codegen everywhere and still produce the clean output.
-        let plan = FaultPlan::new(3, 1_000_000, &[FaultSite::ScratchPoison]);
-        let mut clean = Module::new("m");
-        clone_family(&mut clean, 6, 12);
-        run_fmsa_pipeline(&mut clean, &t5().parallel(4));
-        let mut m = Module::new("m");
-        clone_family(&mut m, 6, 12);
-        let stats = run_fmsa_pipeline(&mut m, &t5().parallel(4).faults(plan));
-        let p = stats.pipeline.expect("pipeline stats");
-        assert!(p.poisoned_scratch > 0, "poison must be detected: {p:?}");
-        assert_eq!(p.quarantined(), 0, "degradation, not quarantine: {p:?}");
-        assert!(stats.quarantine.is_empty());
-        assert!(stats.merges > 0, "merges still happen via the inline path");
-        assert_eq!(print_module(&clean), print_module(&m), "output unchanged by poison");
     }
 
     #[test]

@@ -96,33 +96,11 @@ fn delta_cost(
 ) -> u64 {
     let func: FuncId = if first { info.f1 } else { info.f2 };
     let ret_orig = if first { info.ret.ty1 } else { info.ret.ty2 };
-    delta_cost_side(
-        module,
-        cm,
-        func,
-        info.params.merged_tys.len() as u64,
-        ret_orig,
-        info.ret.base,
-        sites_of,
-    )
-}
-
-/// [`delta_cost`] over explicit pieces instead of a [`MergeInfo`] — used
-/// by [`crate::merge::speculate::evaluate_speculative`], whose merged
-/// body still lives in a scratch module and so has no main-module
-/// `MergeInfo` yet. All ids must be main-module ids.
-pub(crate) fn delta_cost_side(
-    module: &Module,
-    cm: &CostModel,
-    func: FuncId,
-    merged_params: u64,
-    ret_orig: fmsa_ir::TyId,
-    ret_base: fmsa_ir::TyId,
-    sites_of: &dyn Fn(FuncId) -> usize,
-) -> u64 {
+    let merged_params = info.params.merged_tys.len() as u64;
     let orig_params = module.func(func).params().len() as u64;
     let extra_args = merged_params.saturating_sub(orig_params);
-    let ret_cast = if ret_orig == ret_base || matches!(module.types.get(ret_orig), Type::Void) {
+    let ret_cast = if ret_orig == info.ret.base || matches!(module.types.get(ret_orig), Type::Void)
+    {
         0
     } else {
         // A short bitcast/trunc chain at each use of the result.

@@ -19,10 +19,6 @@ use std::collections::VecDeque;
 pub enum DecisionOutcome {
     /// Profitable and committed.
     Merged,
-    /// Committed, but the speculative body was discarded first (stale
-    /// inputs / verify / transplant conflict) and codegen re-ran
-    /// inline at commit. Only occurs with `threads > 1`.
-    ConflictFallback,
     /// Merged body built and evaluated, Δ ≤ 0 — discarded.
     Unprofitable,
     /// Alignment's profitability gate said "not promising"; codegen
@@ -41,7 +37,6 @@ impl DecisionOutcome {
     pub fn as_str(self) -> &'static str {
         match self {
             DecisionOutcome::Merged => "merged",
-            DecisionOutcome::ConflictFallback => "conflict-fallback",
             DecisionOutcome::Unprofitable => "unprofitable",
             DecisionOutcome::GateSkipped => "gate-skipped",
             DecisionOutcome::BudgetSkipped => "budget-skipped",
@@ -51,9 +46,8 @@ impl DecisionOutcome {
     }
 
     /// All outcomes, in the order used by [`DecisionLog`] counts.
-    pub const ALL: [DecisionOutcome; 7] = [
+    pub const ALL: [DecisionOutcome; 6] = [
         DecisionOutcome::Merged,
-        DecisionOutcome::ConflictFallback,
         DecisionOutcome::Unprofitable,
         DecisionOutcome::GateSkipped,
         DecisionOutcome::BudgetSkipped,
@@ -116,7 +110,7 @@ pub struct DecisionLog {
     records: VecDeque<DecisionRecord>,
     cap: usize,
     dropped: u64,
-    counts: [u64; 7],
+    counts: [u64; 6],
 }
 
 impl Default for DecisionLog {
@@ -133,7 +127,7 @@ impl DecisionLog {
     /// Creates a log retaining at most `cap` records (counts are
     /// always exact regardless of `cap`).
     pub fn new(cap: usize) -> DecisionLog {
-        DecisionLog { records: VecDeque::new(), cap, dropped: 0, counts: [0; 7] }
+        DecisionLog { records: VecDeque::new(), cap, dropped: 0, counts: [0; 6] }
     }
 
     /// Appends a record, evicting the oldest when at capacity.

@@ -318,8 +318,7 @@ fn merges_recent_returns_bounded_decision_records() {
     assert!(records <= 3, "asked for 3, got {records}: {body}");
     assert!(records > 0, "a merged corpus must leave decision records: {body}");
     // Decision totals reconcile with the merge count the upload reported.
-    let merged = body.matches("\"outcome\":\"merged\"").count()
-        + body.matches("\"outcome\":\"conflict-fallback\"").count();
+    let merged = body.matches("\"outcome\":\"merged\"").count();
     assert!(merged <= records);
 
     // Default n, no query string.
