@@ -1,8 +1,9 @@
 //! Alignment budgets: keeping one pathological pair from stalling the
 //! merge pipeline.
 //!
-//! The full Needleman-Wunsch program is quadratic in time *and* space, so
-//! one pair of multi-thousand-entry functions can dominate a whole pass
+//! The full Needleman-Wunsch program is quadratic in time *and* space (one
+//! traceback byte per DP cell), so one pair of multi-thousand-entry
+//! functions can dominate a whole pass
 //! (and, in the parallel pipeline, pin a worker while its whole
 //! generation waits on the commit barrier). An [`AlignmentBudget`] bounds
 //! the per-pair cost up front, from the sequence lengths alone:
@@ -35,7 +36,11 @@ pub enum BudgetFallback {
 /// Per-pair cost bounds for one alignment, decided from lengths alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlignmentBudget {
-    /// Maximum `(n+1)·(m+1)` DP cells for a full-matrix alignment.
+    /// Maximum `(n+1)·(m+1)` DP cells for a full-matrix alignment. A
+    /// cell costs one byte of traceback memory (scores are kept in two
+    /// rolling rows), so the default 25 M cells cap a full-matrix
+    /// alignment at about 25 MB (about 225 MB when the kernel kept a
+    /// full `i64` score matrix as well).
     pub full_matrix_cells: usize,
     /// Strategy for pairs over the cell budget.
     pub fallback: BudgetFallback,
@@ -48,7 +53,8 @@ impl Default for AlignmentBudget {
     /// The default budget never triggers on paper-scale functions (the
     /// suite tops out well below 5 000 linearized entries), so pipeline
     /// output stays bit-identical to the unbudgeted sequential pass;
-    /// adversarial inputs beyond that fall back to a 64-wide band.
+    /// adversarial inputs beyond that fall back to a 64-wide band. Its
+    /// 25 M full-matrix cells are about 25 MB of traceback bytes.
     fn default() -> Self {
         AlignmentBudget {
             full_matrix_cells: 25_000_000,

@@ -6,6 +6,7 @@
 //! `O(nm)` time but only `O(n + m)` space, which matters when aligning the
 //! multi-thousand-instruction functions in Table I.
 
+use crate::nw::fill_row;
 use crate::{needleman_wunsch, Alignment, ScoringScheme, Step};
 
 /// Computes an optimal global alignment using Hirschberg's linear-space
@@ -24,7 +25,9 @@ pub fn hirschberg<T>(
     Alignment { steps, score }
 }
 
-/// Last row of the NW score matrix for `a` vs `b` (forward direction).
+/// Last row of the NW score matrix for `a` vs `b` (forward direction),
+/// computed with the same row update as [`needleman_wunsch`]; the
+/// directions it writes are discarded.
 fn nw_last_row<T>(
     a: &[T],
     b: &[T],
@@ -34,14 +37,10 @@ fn nw_last_row<T>(
     let m = b.len();
     let mut prev: Vec<i64> = (0..=m).map(|j| j as i64 * scheme.gap_score).collect();
     let mut cur = vec![0i64; m + 1];
+    let mut dirs = vec![0u8; m];
     for (i, ai) in a.iter().enumerate() {
         cur[0] = (i as i64 + 1) * scheme.gap_score;
-        for j in 1..=m {
-            let sub = if eq(ai, &b[j - 1]) { scheme.match_score } else { scheme.mismatch_score };
-            cur[j] = (prev[j - 1] + sub)
-                .max(prev[j] + scheme.gap_score)
-                .max(cur[j - 1] + scheme.gap_score);
-        }
+        fill_row(ai, b, &eq, scheme, &prev, &mut cur, &mut dirs);
         std::mem::swap(&mut prev, &mut cur);
     }
     prev
@@ -134,8 +133,9 @@ mod tests {
 
     #[test]
     fn handles_long_sequences_without_quadratic_memory() {
-        // 2000 x 2000 full NW matrix would be ~32 MB of i64 scores; this
-        // test mostly guards against stack overflow / index bugs at size.
+        // A 2000 x 2000 full NW matrix would be ~4 MB of traceback bytes;
+        // this test mostly guards against stack overflow / index bugs at
+        // size.
         let a: Vec<u32> = (0..2000).map(|i| i % 17).collect();
         let b: Vec<u32> = (0..2000).map(|i| (i + 3) % 17).collect();
         let scheme = ScoringScheme::default();

@@ -6,15 +6,21 @@
 //! quadratic in both time and space in the lengths of the sequences —
 //! which is exactly why the paper's Fig. 13 shows alignment dominating the
 //! compile-time breakdown.
+//!
+//! Memory: the traceback needs one direction byte per cell of the
+//! `(n+1) × (m+1)` matrix; scores live in two rolling rows of `m+1`
+//! `i64`s. A full alignment therefore costs `(n+1)(m+1)` bytes plus
+//! `O(m)` scores. Every cell goes through [`fill_row`], the one DP inner
+//! loop of the crate, which [`crate::hirschberg`] shares.
 
 use crate::{Alignment, ScoringScheme, Step};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    Diag,
-    Up,   // consume a[i] against a gap
-    Left, // consume b[j] against a gap
-}
+/// Traceback direction bytes.
+const DIAG: u8 = 0;
+/// Consume `a[i]` against a gap.
+const UP: u8 = 1;
+/// Consume `b[j]` against a gap.
+const LEFT: u8 = 2;
 
 /// Computes the optimal global alignment of `a` and `b` under `scheme`,
 /// using `eq` as the element-equivalence relation.
@@ -28,51 +34,32 @@ pub fn needleman_wunsch<T>(
     eq: impl Fn(&T, &T) -> bool,
     scheme: &ScoringScheme,
 ) -> Alignment {
-    let n = a.len();
-    let m = b.len();
+    let (n, m) = (a.len(), b.len());
     let w = m + 1;
-    // Score matrix, row-major, (n+1) x (m+1).
-    let mut score = vec![0i64; (n + 1) * w];
-    let mut dir = vec![Dir::Diag; (n + 1) * w];
-    for j in 1..=m {
-        score[j] = j as i64 * scheme.gap_score;
-        dir[j] = Dir::Left;
-    }
-    for i in 1..=n {
-        score[i * w] = i as i64 * scheme.gap_score;
-        dir[i * w] = Dir::Up;
-    }
-    for i in 1..=n {
-        for j in 1..=m {
-            let matched = eq(&a[i - 1], &b[j - 1]);
-            let sub = if matched { scheme.match_score } else { scheme.mismatch_score };
-            let diag = score[(i - 1) * w + (j - 1)] + sub;
-            let up = score[(i - 1) * w + j] + scheme.gap_score;
-            let left = score[i * w + (j - 1)] + scheme.gap_score;
-            // Deterministic preference: Diag >= Up >= Left.
-            let (best, d) = if diag >= up && diag >= left {
-                (diag, Dir::Diag)
-            } else if up >= left {
-                (up, Dir::Up)
-            } else {
-                (left, Dir::Left)
-            };
-            score[i * w + j] = best;
-            dir[i * w + j] = d;
-        }
+    // Direction matrix, row-major, (n+1) x (m+1): row 0 consumes `b`
+    // only, column 0 consumes `a` only.
+    let mut dir = vec![DIAG; (n + 1) * w];
+    dir[1..w].fill(LEFT);
+    let mut prev: Vec<i64> = (0..=m).map(|j| j as i64 * scheme.gap_score).collect();
+    let mut cur = vec![0i64; w];
+    for (i, (ai, row)) in a.iter().zip(dir.chunks_exact_mut(w).skip(1)).enumerate() {
+        cur[0] = (i as i64 + 1) * scheme.gap_score;
+        row[0] = UP;
+        fill_row(ai, b, &eq, scheme, &prev, &mut cur, &mut row[1..]);
+        std::mem::swap(&mut prev, &mut cur);
     }
     // Traceback.
     let mut steps = Vec::with_capacity(n.max(m));
     let (mut i, mut j) = (n, m);
     while i > 0 || j > 0 {
         match dir[i * w + j] {
-            Dir::Diag if i > 0 && j > 0 => {
+            DIAG if i > 0 && j > 0 => {
                 let matched = eq(&a[i - 1], &b[j - 1]);
                 steps.push(Step::Both { i: i - 1, j: j - 1, matched });
                 i -= 1;
                 j -= 1;
             }
-            Dir::Up | Dir::Diag if i > 0 => {
+            UP | DIAG if i > 0 => {
                 steps.push(Step::Left(i - 1));
                 i -= 1;
             }
@@ -83,7 +70,40 @@ pub fn needleman_wunsch<T>(
         }
     }
     steps.reverse();
-    Alignment { steps, score: score[n * w + m] }
+    Alignment { steps, score: prev[m] }
+}
+
+/// One row of the DP: from the previous row's scores `prev` and the
+/// row's first score `cur[0]`, fills `cur[1..]` with the scores of `ai`
+/// against every prefix of `b`, and `dirs[j]` with the move that reached
+/// `cur[j + 1]`. Ties prefer Diag over Up over Left. The update is
+/// branch-free and the loop zips its slices, so it runs without bounds
+/// checks.
+#[inline(always)]
+pub(crate) fn fill_row<T>(
+    ai: &T,
+    b: &[T],
+    eq: &impl Fn(&T, &T) -> bool,
+    scheme: &ScoringScheme,
+    prev: &[i64],
+    cur: &mut [i64],
+    dirs: &mut [u8],
+) {
+    let ScoringScheme { match_score, mismatch_score, gap_score } = *scheme;
+    let mut left = cur[0];
+    let cells = cur[1..].iter_mut().zip(dirs.iter_mut()).zip(b).zip(prev.iter().zip(&prev[1..]));
+    for (((score, dir), bj), (&diag_prev, &up_prev)) in cells {
+        let diag = diag_prev + if eq(ai, bj) { match_score } else { mismatch_score };
+        let up = up_prev + gap_score;
+        let gap_left = left + gap_score;
+        let gap = up.max(gap_left);
+        left = diag.max(gap);
+        *score = left;
+        // DIAG when the diagonal wins (ties included), else UP when the up
+        // gap wins its tie with the left gap, else LEFT.
+        let gap_dir = LEFT - u8::from(up >= gap_left);
+        *dir = u8::from(diag < gap) * gap_dir;
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use fmsa_align::{
     banded_needleman_wunsch, hirschberg, needleman_wunsch, smith_waterman, AlignPlan, Alignment,
-    AlignmentBudget, BudgetFallback, ScoringScheme,
+    AlignmentBudget, BudgetFallback, ScoringScheme, Step,
 };
 use proptest::prelude::*;
 
@@ -26,12 +26,97 @@ fn brute_force_score(a: &[u8], b: &[u8], scheme: &ScoringScheme) -> i64 {
     go(a, b, scheme)
 }
 
+/// The full-matrix Needleman-Wunsch the rolling-row kernel replaced: an
+/// `i64` score matrix beside a direction matrix, with a branching cell
+/// update. Kept as the reference the production kernel must reproduce
+/// step for step, tie-breaks included.
+fn reference_nw(a: &[u8], b: &[u8], scheme: &ScoringScheme) -> Alignment {
+    #[derive(Clone, Copy)]
+    enum Dir {
+        Diag,
+        Up,
+        Left,
+    }
+    let (n, m) = (a.len(), b.len());
+    let w = m + 1;
+    let mut score = vec![0i64; (n + 1) * w];
+    let mut dir = vec![Dir::Diag; (n + 1) * w];
+    for j in 1..=m {
+        score[j] = j as i64 * scheme.gap_score;
+        dir[j] = Dir::Left;
+    }
+    for i in 1..=n {
+        score[i * w] = i as i64 * scheme.gap_score;
+        dir[i * w] = Dir::Up;
+    }
+    for i in 1..=n {
+        for j in 1..=m {
+            let sub = if a[i - 1] == b[j - 1] { scheme.match_score } else { scheme.mismatch_score };
+            let diag = score[(i - 1) * w + (j - 1)] + sub;
+            let up = score[(i - 1) * w + j] + scheme.gap_score;
+            let left = score[i * w + (j - 1)] + scheme.gap_score;
+            let (best, d) = if diag >= up && diag >= left {
+                (diag, Dir::Diag)
+            } else if up >= left {
+                (up, Dir::Up)
+            } else {
+                (left, Dir::Left)
+            };
+            score[i * w + j] = best;
+            dir[i * w + j] = d;
+        }
+    }
+    let mut steps = Vec::new();
+    let (mut i, mut j) = (n, m);
+    while i > 0 || j > 0 {
+        match dir[i * w + j] {
+            Dir::Diag if i > 0 && j > 0 => {
+                steps.push(Step::Both { i: i - 1, j: j - 1, matched: a[i - 1] == b[j - 1] });
+                i -= 1;
+                j -= 1;
+            }
+            Dir::Up | Dir::Diag if i > 0 => {
+                steps.push(Step::Left(i - 1));
+                i -= 1;
+            }
+            _ => {
+                steps.push(Step::Right(j - 1));
+                j -= 1;
+            }
+        }
+    }
+    steps.reverse();
+    Alignment { steps, score: score[n * w + m] }
+}
+
 fn small_seq() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..4, 0..8)
 }
 
 fn medium_seq() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..6, 0..64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1000, ..ProptestConfig::default() })]
+
+    #[test]
+    fn kernel_matches_full_matrix_reference(
+        alphabet in 1u8..7,
+        a in prop::collection::vec(0u8..6, 0..61),
+        b in prop::collection::vec(0u8..6, 0..61),
+    ) {
+        // Tie-breaks decide merged bodies, so the steps must agree, not
+        // just the scores.
+        let a: Vec<u8> = a.iter().map(|x| x % alphabet).collect();
+        let b: Vec<u8> = b.iter().map(|x| x % alphabet).collect();
+        let custom = ScoringScheme { match_score: 3, mismatch_score: -2, gap_score: -1 };
+        for scheme in [ScoringScheme::default(), ScoringScheme::unit(), custom] {
+            let expect = reference_nw(&a, &b, &scheme);
+            prop_assert_eq!(&needleman_wunsch(&a, &b, |x, y| x == y, &scheme), &expect);
+            prop_assert_eq!(hirschberg(&a, &b, |x, y| x == y, &scheme).score, expect.score);
+        }
+    }
 }
 
 proptest! {

@@ -16,9 +16,22 @@
 //! * `getelementptr` pairs must agree on the source element type and on
 //!   every struct-field index (field offsets are compile-time constants
 //!   and cannot be selected at runtime).
+//!
+//! Apart from entries equivalent to nothing (φ-nodes, GEPs with a bad
+//! struct index), the relation is an equivalence, so each entry has a
+//! canonical class key, computed once per entry by `class_keys`, and two
+//! entries of different functions have equal keys exactly when
+//! [`EquivCtx::entries_equivalent`] holds. The
+//! [`crate::LinearizationCache`] interns the keys into `u32` ids, which
+//! the pipeline aligns instead of evaluating the predicate per DP cell.
+//! [`EquivCtx`] stays the reference: the reference driver uses it, and
+//! tests check the keys against it.
 
 use crate::linearize::Entry;
-use fmsa_ir::{ExtraData, Function, Inst, Module, Opcode, Type, Value};
+use fmsa_ir::{
+    BlockId, ExtraData, FloatPredicate, FuncId, Function, Inst, IntPredicate, Module, Opcode, TyId,
+    Type, TypeStore, Value,
+};
 
 /// Equivalence context: the module plus the two functions being aligned.
 #[derive(Debug, Clone, Copy)]
@@ -226,10 +239,223 @@ impl<'a> EquivCtx<'a> {
     }
 }
 
+/// A type's class under [`fmsa_ir::TypeStore::can_lossless_bitcast`],
+/// which is an equivalence: any two pointers are interchangeable, ints
+/// and floating-point types are interchangeable at equal bit width, and
+/// every other type (aggregates, `void`, labels, function types) only
+/// matches itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum TyClass {
+    Ptr,
+    Bits(u64),
+    Exact(TyId),
+}
+
+fn ty_class(ts: &TypeStore, ty: TyId) -> TyClass {
+    match ts.get(ty) {
+        Type::Ptr { .. } => TyClass::Ptr,
+        Type::Int(_) | Type::Half | Type::Float | Type::Double => {
+            TyClass::Bits(ts.bit_size(ty).expect("scalar types have a bit size"))
+        }
+        _ => TyClass::Exact(ty),
+    }
+}
+
+/// What [`EquivCtx::labels_equivalent`] compares of a label: normal
+/// labels all match, a landing label matches pads of the same type and
+/// clauses.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum LabelKey {
+    Normal,
+    Landing { ty: TyId, extra: ExtraData },
+}
+
+fn label_key(f: &Function, b: BlockId) -> LabelKey {
+    if f.is_landing_block(b) {
+        let pad = f.inst(f.block(b).insts[0]);
+        LabelKey::Landing { ty: pad.ty, extra: pad.extra.clone() }
+    } else {
+        LabelKey::Normal
+    }
+}
+
+/// The opcode-specific payload [`EquivCtx::insts_equivalent`] compares.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum ExtraKey {
+    None,
+    ICmp(IntPredicate),
+    FCmp(FloatPredicate),
+    Alloca {
+        size: Option<u64>,
+        align: Option<u64>,
+    },
+    /// The source element type and the constants at struct positions.
+    Gep {
+        source: TyId,
+        struct_indices: Vec<Value>,
+    },
+    LandingPad {
+        ty: TyId,
+        extra: ExtraData,
+    },
+    Agg {
+        indices: Vec<u32>,
+        ty: TyId,
+    },
+}
+
+/// Everything [`EquivCtx::insts_equivalent`] compares of one instruction.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct InstKey {
+    opcode: Opcode,
+    ty: TyClass,
+    /// Per operand: `None` for a label, else its type class.
+    operands: Vec<Option<TyClass>>,
+    extra: ExtraKey,
+    /// A switch's case constants.
+    cases: Vec<Value>,
+    /// A call's or invoke's raw callee operand.
+    callee: Option<Value>,
+    /// An invoke's unwind label.
+    unwind: Option<LabelKey>,
+}
+
+/// The canonical key of one linearized entry: entries of two different
+/// functions have equal keys exactly when
+/// [`EquivCtx::entries_equivalent`] holds for them, so an alignment can
+/// compare interned keys instead of evaluating the relation per cell.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum ClassKey {
+    Label(LabelKey),
+    Inst(Box<InstKey>),
+    /// An entry equivalent to nothing (a φ-node, a GEP whose struct walk
+    /// fails): keyed by its own function, so it never equals an entry of
+    /// another function.
+    Unique(FuncId),
+}
+
+/// The class keys of `func`'s linearization `seq`, in order. Only keys of
+/// different functions are ever compared (a function is never its own
+/// merge candidate).
+pub(crate) fn class_keys(module: &Module, func: FuncId, seq: &[Entry]) -> Vec<ClassKey> {
+    let f = module.func(func);
+    seq.iter()
+        .map(|entry| match *entry {
+            Entry::Label(b) => ClassKey::Label(label_key(f, b)),
+            Entry::Inst(i) => inst_key(module, f, f.inst(i))
+                .map_or(ClassKey::Unique(func), |k| ClassKey::Inst(Box::new(k))),
+        })
+        .collect()
+}
+
+/// The key of an instruction, or `None` when it is equivalent to nothing.
+fn inst_key(module: &Module, f: &Function, inst: &Inst) -> Option<InstKey> {
+    let ts = &module.types;
+    if inst.opcode == Opcode::Phi {
+        return None;
+    }
+    let operands = inst
+        .operands
+        .iter()
+        .map(|&v| match v {
+            Value::Block(_) => None,
+            Value::Func(g) => Some(ty_class(ts, module.func(g).fn_ty())),
+            _ => Some(ty_class(ts, f.value_ty(v, ts))),
+        })
+        .collect();
+    let extra = match &inst.extra {
+        ExtraData::None => ExtraKey::None,
+        ExtraData::ICmp(p) => ExtraKey::ICmp(*p),
+        ExtraData::FCmp(p) => ExtraKey::FCmp(*p),
+        ExtraData::Alloca { allocated } => {
+            ExtraKey::Alloca { size: ts.byte_size(*allocated), align: ts.align_of(*allocated) }
+        }
+        ExtraData::Gep { source_elem } => ExtraKey::Gep {
+            source: *source_elem,
+            struct_indices: gep_struct_indices(ts, inst, *source_elem)?,
+        },
+        ExtraData::LandingPad { .. } if inst.opcode == Opcode::LandingPad => {
+            ExtraKey::LandingPad { ty: inst.ty, extra: inst.extra.clone() }
+        }
+        ExtraData::AggIndices(indices) => ExtraKey::Agg { indices: indices.clone(), ty: inst.ty },
+        ExtraData::LandingPad { .. } | ExtraData::Phi { .. } => return None,
+    };
+    let cases = match inst.opcode {
+        Opcode::Switch => inst
+            .operands
+            .iter()
+            .enumerate()
+            .filter(|(k, _)| k % 2 == 0 && *k >= 2)
+            .map(|(_, &v)| v)
+            .collect(),
+        _ => Vec::new(),
+    };
+    let (callee, unwind) = match inst.opcode {
+        Opcode::Call => (inst.operands.first().copied(), None),
+        Opcode::Invoke => {
+            (inst.operands.first().copied(), Some(label_key(f, inst.operands.last()?.as_block()?)))
+        }
+        _ => (None, None),
+    };
+    Some(InstKey {
+        opcode: inst.opcode,
+        ty: ty_class(ts, inst.ty),
+        operands,
+        extra,
+        cases,
+        callee,
+        unwind,
+    })
+}
+
+/// The constants a GEP indexes structs with, walking `source` the way
+/// [`EquivCtx::insts_equivalent`] does; `None` when the walk fails
+/// (a non-constant or out-of-range struct index, or a non-aggregate step),
+/// which makes the GEP equivalent to nothing.
+fn gep_struct_indices(ts: &TypeStore, inst: &Inst, source: TyId) -> Option<Vec<Value>> {
+    let mut cur = source;
+    let mut out = Vec::new();
+    // operands[1] indexes the source element itself; later ones walk in.
+    for &o in inst.operands.iter().skip(2) {
+        match ts.get(cur) {
+            Type::Struct { fields, .. } => {
+                let Value::ConstInt { bits, .. } = o else { return None };
+                cur = *fields.get(bits as usize)?;
+                out.push(o);
+            }
+            Type::Array { elem, .. } => cur = *elem,
+            _ => return None,
+        }
+    }
+    Some(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fmsa_ir::{FuncBuilder, IntPredicate, LandingPadClause, Module, Value};
+
+    /// The class ids of a [`crate::LinearizationCache`] agree with the
+    /// relation on every entry pair of every two distinct functions of
+    /// `m`.
+    fn assert_keys_exact(m: &Module) {
+        let mut cache = crate::LinearizationCache::new();
+        let funcs = m.func_ids();
+        for &f1 in &funcs {
+            for &f2 in &funcs {
+                if f1 == f2 {
+                    continue;
+                }
+                let (l1, l2) = (cache.get(m, f1), cache.get(m, f2));
+                let ctx = EquivCtx::new(m, m.func(f1), m.func(f2));
+                for (e1, id1) in l1.entries().iter().zip(l1.ids()) {
+                    for (e2, id2) in l2.entries().iter().zip(l2.ids()) {
+                        assert_eq!(id1 == id2, ctx.entries_equivalent(e1, e2), "{e1:?} vs {e2:?}");
+                    }
+                }
+            }
+        }
+    }
 
     /// Builds two functions with a few instructions each and returns the
     /// module for ad-hoc equivalence probing.
@@ -272,6 +498,7 @@ mod tests {
         let ctx = EquivCtx::new(&m, m.func(f1), m.func(f2));
         let (e1, e2) = first_insts(&m, f1, f2);
         assert!(ctx.entries_equivalent(&e1, &e2));
+        assert_keys_exact(&m);
     }
 
     #[test]
@@ -287,6 +514,7 @@ mod tests {
         let ctx = EquivCtx::new(&m, m.func(f1), m.func(f2));
         let (e1, e2) = first_insts(&m, f1, f2);
         assert!(!ctx.entries_equivalent(&e1, &e2));
+        assert_keys_exact(&m);
     }
 
     #[test]
@@ -325,6 +553,7 @@ mod tests {
         assert!(ctx.entries_equivalent(&Entry::Inst(i1[1]), &Entry::Inst(i2[1])));
         // ret void vs ret void.
         assert!(ctx.entries_equivalent(&Entry::Inst(i1[2]), &Entry::Inst(i2[2])));
+        assert_keys_exact(&m);
     }
 
     #[test]
@@ -363,6 +592,7 @@ mod tests {
             !ctx.entries_equivalent(&Entry::Inst(i1[1]), &Entry::Inst(i2[1])),
             "store of differing widths"
         );
+        assert_keys_exact(&m);
     }
 
     #[test]
@@ -376,6 +606,7 @@ mod tests {
         let ctx = EquivCtx::new(&m, m.func(f1), m.func(f2));
         let (e1, e2) = first_insts(&m, f1, f2);
         assert!(!ctx.entries_equivalent(&e1, &e2));
+        assert_keys_exact(&m);
     }
 
     #[test]
@@ -387,6 +618,7 @@ mod tests {
         let b1 = m.func(f1).entry();
         let b2 = m.func(f2).entry();
         assert!(ctx.entries_equivalent(&Entry::Label(b1), &Entry::Label(b2)));
+        assert_keys_exact(&m);
     }
 
     #[test]
@@ -447,6 +679,7 @@ mod tests {
             !ctx_ac.entries_equivalent(&inv_a, &inv_c),
             "invokes with different landing pads must not match"
         );
+        assert_keys_exact(&m);
     }
 
     #[test]
@@ -476,6 +709,7 @@ mod tests {
         let ctx = EquivCtx::new(&m, m.func(f1), m.func(f2));
         let (e1, e2) = first_insts(&m, f1, f2);
         assert!(!ctx.entries_equivalent(&e1, &e2), "different callees");
+        assert_keys_exact(&m);
     }
 
     #[test]
@@ -487,5 +721,6 @@ mod tests {
         let lbl = Entry::Label(m.func(f1).entry());
         let inst = Entry::Inst(m.func(f2).inst_ids()[0]);
         assert!(!ctx.entries_equivalent(&lbl, &inst));
+        assert_keys_exact(&m);
     }
 }

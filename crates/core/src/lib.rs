@@ -92,7 +92,7 @@ pub use config::{optimize, Config};
 pub use equivalence::EquivCtx;
 pub use error::Error;
 pub use faults::{silence_injected_panics, FaultPlan, FaultSite};
-pub use linearize::{linearize, Entry, LinearizationCache};
+pub use linearize::{linearize, Entry, LinearizationCache, Linearized};
 pub use merge::{merge_pair, MergeConfig, MergeError, MergeInfo};
 pub use pipeline::run_fmsa_pipeline;
 pub use quarantine::{QuarantineEntry, QuarantineLog, QuarantineStage};

@@ -5,6 +5,7 @@
 //! ... We empirically chose a reverse post-order traversal with a canonical
 //! ordering of successor basic blocks."
 
+use crate::equivalence::{class_keys, ClassKey};
 use fmsa_ir::{cfg, BlockId, FuncId, Function, InstId, Module};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -50,7 +51,30 @@ pub fn linearize(f: &Function) -> Vec<Entry> {
     out
 }
 
-/// A cache of linearizations keyed by function id.
+/// One function's linearization and the class ids of its entries.
+#[derive(Debug)]
+pub struct Linearized {
+    entries: Vec<Entry>,
+    ids: Vec<u32>,
+}
+
+impl Linearized {
+    /// The linearized entries (§III-B).
+    pub fn entries(&self) -> &[Entry] {
+        &self.entries
+    }
+
+    /// `ids()[k]` is the interned §III-D class of `entries()[k]`: an
+    /// entry of one function is equivalent to an entry of another exactly
+    /// when their ids, from the same [`LinearizationCache`], are equal.
+    /// Ids are only ever compared for equality; their numbering depends
+    /// on the order the cache saw functions in.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+}
+
+/// A cache of linearizations, with their class ids, keyed by function id.
 ///
 /// The sequential pass linearizes both functions of every merge attempt,
 /// so a function that appears as a candidate of many subjects is
@@ -59,12 +83,19 @@ pub fn linearize(f: &Function) -> Vec<Entry> {
 /// when a commit mutates the function (thunked originals, rewritten
 /// callers), so each function is linearized once per *generation* instead.
 ///
-/// Entries are `Arc<[Entry]>` so the read-only parallel prepare stage can
-/// share them across workers without cloning; the cache itself is filled
-/// sequentially (it hands out shared references once populated).
+/// Beside each linearization the cache keeps the entries' class ids: the
+/// canonical key of every entry under the §III-D relation, interned
+/// through one interner the cache owns. Alignment then compares `u32`s,
+/// and the relation is evaluated once per instruction instead of once
+/// per DP cell.
+///
+/// Entries are `Arc<Linearized>` so the read-only parallel prepare stage
+/// can share them across workers without cloning; the cache itself is
+/// filled sequentially (it hands out shared references once populated).
 #[derive(Debug, Clone, Default)]
 pub struct LinearizationCache {
-    map: HashMap<FuncId, Arc<[Entry]>>,
+    map: HashMap<FuncId, Arc<Linearized>>,
+    classes: HashMap<ClassKey, u32>,
 }
 
 impl LinearizationCache {
@@ -73,28 +104,33 @@ impl LinearizationCache {
         LinearizationCache::default()
     }
 
-    /// The linearization of `f`, computing and caching it on a miss.
-    pub fn get(&mut self, module: &Module, f: FuncId) -> Arc<[Entry]> {
-        Arc::clone(
-            self.map
-                .entry(f)
-                .or_insert_with(|| Arc::from(linearize(module.func(f)).into_boxed_slice())),
-        )
+    /// The linearization of `f` with its class ids, computing, interning
+    /// and caching them on a miss.
+    pub fn get(&mut self, module: &Module, f: FuncId) -> Arc<Linearized> {
+        if let Some(lin) = self.map.get(&f) {
+            return Arc::clone(lin);
+        }
+        let (entries, keys) = linearize_with_keys(module, f);
+        let lin = Arc::new(Linearized { entries, ids: self.intern(keys) });
+        self.map.insert(f, Arc::clone(&lin));
+        lin
     }
 
     /// The cached linearization of `f`, if present (lock-free read path
     /// for workers; the scheduler pre-fills entries before a generation).
-    pub fn cached(&self, f: FuncId) -> Option<Arc<[Entry]>> {
+    pub fn cached(&self, f: FuncId) -> Option<Arc<Linearized>> {
         self.map.get(&f).map(Arc::clone)
     }
 
     /// Fills the cache for every function of `funcs` not already present,
-    /// computing the missing linearizations on `pool` (inline on a
-    /// single-thread pool). Returns the summed per-function compute time
-    /// — the stage's CPU time, reported against its wall-clock by the
-    /// pipeline. [`linearize`] is deterministic and the insertions are
-    /// keyed by function id, so a pre-filled cache is indistinguishable
-    /// from one filled by sequential [`LinearizationCache::get`] calls.
+    /// computing the missing linearizations and class keys on `pool`
+    /// (inline on a single-thread pool) and interning the keys
+    /// sequentially, in input order. Returns the summed per-function
+    /// compute time — the stage's CPU time, reported against its
+    /// wall-clock by the pipeline. [`linearize`] is deterministic, so a
+    /// pre-filled cache holds the same sequences as one filled by
+    /// sequential [`LinearizationCache::get`] calls, and its ids induce
+    /// the same equalities.
     pub fn prefill(
         &mut self,
         module: &Module,
@@ -111,18 +147,29 @@ impl LinearizationCache {
         let cpu = std::sync::atomic::AtomicU64::new(0);
         let computed = pool.par_map(&misses, |_, &f| {
             let t = std::time::Instant::now();
-            let seq: Arc<[Entry]> = Arc::from(linearize(module.func(f)).into_boxed_slice());
+            let lin = linearize_with_keys(module, f);
             cpu.fetch_add(t.elapsed().as_nanos() as u64, std::sync::atomic::Ordering::Relaxed);
-            (f, seq)
+            (f, lin)
         });
-        for (f, seq) in computed {
-            self.map.insert(f, seq);
+        for (f, (entries, keys)) in computed {
+            let ids = self.intern(keys);
+            self.map.insert(f, Arc::new(Linearized { entries, ids }));
         }
         std::time::Duration::from_nanos(cpu.into_inner())
     }
 
-    /// Drops the entry for `f` (call when the function body changed or the
-    /// function was removed).
+    /// The ids of `keys`, assigning the next free id to each new class.
+    fn intern(&mut self, keys: Vec<ClassKey>) -> Vec<u32> {
+        keys.into_iter()
+            .map(|key| {
+                let next = u32::try_from(self.classes.len()).expect("fewer than 2^32 classes");
+                *self.classes.entry(key).or_insert(next)
+            })
+            .collect()
+    }
+
+    /// Drops the entry for `f`, linearization and ids together (call when
+    /// the function body changed or the function was removed).
     pub fn invalidate(&mut self, f: FuncId) {
         self.map.remove(&f);
     }
@@ -136,6 +183,13 @@ impl LinearizationCache {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
+}
+
+/// `f`'s linearization and the class key of each entry.
+fn linearize_with_keys(module: &Module, f: FuncId) -> (Vec<Entry>, Vec<ClassKey>) {
+    let entries = linearize(module.func(f));
+    let keys = class_keys(module, f, &entries);
+    (entries, keys)
 }
 
 #[cfg(test)]
@@ -219,7 +273,10 @@ mod tests {
         cache.prefill(&m, &[f, f], &pool);
         assert_eq!(cache.len(), 1, "duplicates collapse to one entry");
         let mut seq_cache = LinearizationCache::new();
-        assert_eq!(&cache.cached(f).expect("pre-filled")[..], &seq_cache.get(&m, f)[..]);
+        let pre = cache.cached(f).expect("pre-filled");
+        let got = seq_cache.get(&m, f);
+        assert_eq!(pre.entries(), got.entries());
+        assert_eq!(pre.ids(), got.ids());
         // Pre-filling again is a no-op on hits.
         cache.prefill(&m, &[f], &pool);
         assert_eq!(cache.len(), 1);
@@ -231,7 +288,8 @@ mod tests {
         let mut cache = LinearizationCache::new();
         assert!(cache.cached(f).is_none());
         let a = cache.get(&m, f);
-        assert_eq!(&a[..], &linearize(m.func(f))[..]);
+        assert_eq!(a.entries(), &linearize(m.func(f))[..]);
+        assert_eq!(a.ids().len(), a.entries().len());
         // Second fetch shares the same allocation.
         let b = cache.get(&m, f);
         assert!(Arc::ptr_eq(&a, &b));

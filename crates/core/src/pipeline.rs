@@ -13,11 +13,13 @@
 //!    candidates — concurrently over the generation's subjects, against
 //!    a shared read-only index — snapshot the per-function mutation
 //!    generation of every pair, and pre-fill the [`LinearizationCache`]
-//!    (misses linearized on the worker pool, inserted sequentially).
+//!    with each function's linearization and the class ids of its
+//!    entries (misses linearized and keyed on the worker pool, keys
+//!    interned sequentially).
 //! 2. **Prepare** (parallel, multi-threaded runs only): for every
-//!    distinct `(subject, candidate)` pair, a worker computes the
-//!    alignment (under the [`fmsa_align::AlignmentBudget`] of
-//!    [`Config::budget`]) and the pre-codegen profitability gate
+//!    distinct `(subject, candidate)` pair, a worker aligns the two
+//!    functions' class ids (under the [`fmsa_align::AlignmentBudget`] of
+//!    [`Config::budget`]) and computes the pre-codegen profitability gate
 //!    ([`crate::profitability::optimistic_delta`]). Workers only read the
 //!    main module; nothing they produce is trusted without re-validation.
 //! 3. **Commit** (sequential): subjects are visited in the exact order
@@ -30,6 +32,14 @@
 //!    §III-A commit follow, feeding accepted merges back into the search
 //!    index, the linearization cache, the call-site index, and the next
 //!    generation's worklist.
+//!
+//! Every alignment of this driver, in prepare and in commit, compares
+//! `u32` class ids with `==`: ids are equal exactly when the §III-D
+//! relation ([`crate::equivalence::EquivCtx`]) holds, so the alignments
+//! are the reference driver's, but the relation is evaluated once per
+//! instruction instead of once per DP cell. The reference driver keeps
+//! the predicate, so every pipeline-vs-reference bit-identity test also
+//! cross-checks the ids.
 //!
 //! Merged bodies are built once, at the attempt that decides them, as in
 //! the paper's driver. Building them ahead of time on the prepare workers
@@ -67,10 +77,9 @@
 
 use crate::callsites::{outgoing_calls, CallSiteIndex};
 use crate::config::Config;
-use crate::equivalence::EquivCtx;
 use crate::faults::FaultSite;
 use crate::fingerprint::Fingerprint;
-use crate::linearize::{Entry, LinearizationCache};
+use crate::linearize::{LinearizationCache, Linearized};
 use crate::merge::{merge_pair_aligned, AlignAlgo, MergeInfo};
 use crate::pass::{run_fmsa, seed_pass, FmsaStats, SeededPass};
 use crate::profitability::{evaluate_indexed, optimistic_delta, ProfitReport};
@@ -100,8 +109,12 @@ pub struct PipelineStats {
     pub prepared: usize,
     /// Prepared alignments consumed unchanged by the commit stage.
     pub reused: usize,
-    /// Attempts whose prepared state was stale (function mutated since
-    /// scheduling) and was recomputed inline.
+    /// Attempts of a multi-threaded run that the commit stage aligned
+    /// inline: the prepared alignment was stale (a function mutated
+    /// since scheduling, or a failed commit resynchronized the caches),
+    /// or there was no prepared entry at all — the candidate first
+    /// appeared in a re-query after the generation's first commit, or
+    /// the pair's prepare worker panicked.
     pub recomputed: usize,
     /// Attempts skipped by the sound pre-codegen profitability gate.
     pub gate_skipped: usize,
@@ -288,24 +301,17 @@ struct Prepared {
 /// Prepared attempts of one generation, keyed by `(subject, candidate)`.
 type PreparedMap = HashMap<(FuncId, FuncId), Prepared>;
 
-/// Aligns one pair under the configuration's alignment budget. Returns
-/// `None` when the budget refuses the pair.
-fn align_budgeted(
-    module: &Module,
-    f1: FuncId,
-    f2: FuncId,
-    seq1: &[Entry],
-    seq2: &[Entry],
-    cfg: &Config,
-) -> Option<Alignment> {
-    let plan = cfg.budget.plan(seq1.len(), seq2.len());
-    let ctx = EquivCtx::new(module, module.func(f1), module.func(f2));
+/// Aligns one pair's class ids under the configuration's alignment
+/// budget. Equal ids are exactly the §III-D equivalent entries, so this
+/// is the alignment the reference driver computes with the predicate.
+/// Returns `None` when the budget refuses the pair.
+fn align_budgeted(ids1: &[u32], ids2: &[u32], cfg: &Config) -> Option<Alignment> {
     align_with_plan(
-        seq1,
-        seq2,
-        |a, b| ctx.entries_equivalent(a, b),
+        ids1,
+        ids2,
+        |a, b| a == b,
         &cfg.merge.scoring,
-        plan,
+        cfg.budget.plan(ids1.len(), ids2.len()),
         cfg.merge.algorithm == AlignAlgo::Hirschberg,
     )
 }
@@ -318,11 +324,12 @@ fn align_and_gate(
     cm: &CostModel,
     f1: FuncId,
     f2: FuncId,
-    seq1: &[Entry],
-    seq2: &[Entry],
+    lin1: &Linearized,
+    lin2: &Linearized,
     cfg: &Config,
 ) -> (Option<Alignment>, bool) {
-    let alignment = align_budgeted(module, f1, f2, seq1, seq2, cfg);
+    let alignment = align_budgeted(lin1.ids(), lin2.ids(), cfg);
+    let (seq1, seq2) = (lin1.entries(), lin2.entries());
     let promising = alignment
         .as_ref()
         .is_some_and(|al| optimistic_delta(module, cm, f1, f2, seq1, seq2, al) > 0);
@@ -694,8 +701,8 @@ impl<'c> Driver<'c> {
                     module,
                     f1,
                     f2,
-                    seq1.to_vec(),
-                    seq2.to_vec(),
+                    seq1.entries().to_vec(),
+                    seq2.entries().to_vec(),
                     alignment,
                     &cfg.merge,
                 )

@@ -129,6 +129,10 @@ fn delta_cost(
 /// this bound is ≤ 0, the real Δ of [`evaluate`] is guaranteed ≤ 0 and
 /// code generation can be skipped without changing any merge decision;
 /// the pipeline uses it as a sound pre-codegen gate.
+///
+/// Sound, but loose: on the 768-function seed-7 `wasm-batch` corpus the
+/// gate skipped none of 2 653 attempts (`gate_skipped=0`), while 2 425 of
+/// them (91 %) came out unprofitable after codegen.
 pub fn optimistic_delta(
     module: &Module,
     cm: &CostModel,

@@ -31,5 +31,5 @@ pub mod wasm_fixtures;
 pub use driver::{add_driver, DriverConfig};
 pub use gen::{generate_function, GenConfig, TypeTheme, Variant};
 pub use suite::{build_module, mibench_suite, spec_suite, BenchDesc, FamilyMix, Suite, SCALE};
-pub use swarm::{clone_swarm_module, stream_chunks, ChunkSpec, SwarmConfig};
+pub use swarm::{calling_swarm, clone_swarm_module, stream_chunks, ChunkSpec, SwarmConfig};
 pub use wasm_fixtures::{wasm_fixture_bytes, WasmFixtureConfig};

@@ -12,7 +12,7 @@
 //! of productive and unproductive candidates.
 
 use crate::gen::{generate_function, GenConfig, Variant};
-use fmsa_ir::Module;
+use fmsa_ir::{FuncBuilder, Linkage, Module, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -170,6 +170,52 @@ pub fn stream_chunks(total: usize, chunk: usize, seed: u64) -> impl Iterator<Ite
             })
         }
     })
+}
+
+/// Families of near-clones with cross-calls and mixed linkage: deletable
+/// sides with live callers and thunked (external) sides force the
+/// batched commit's conflict fallback, while caller-less families
+/// exercise the deferred path — both in one module. `families ×
+/// members` functions `fam{f}_m{k}`, each a chain of adds and muls,
+/// about 40 % of them calling a random member, 20 % externally linked.
+pub fn calling_swarm(seed: u64, families: usize, members: usize) -> Module {
+    let mut m = Module::new("calling_swarm");
+    let i32t = m.types.i32();
+    let fn_ty = m.types.func(i32t, vec![i32t]);
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut ids = Vec::new();
+    for fam in 0..families {
+        for mem in 0..members {
+            let f = m.create_function(format!("fam{fam}_m{mem}"), fn_ty);
+            if next() % 100 < 20 {
+                m.func_mut(f).linkage = Linkage::External;
+            }
+            ids.push(f);
+        }
+    }
+    for (k, &f) in ids.iter().enumerate().collect::<Vec<_>>() {
+        let fam = k / members;
+        let callee = ids[(next() as usize) % ids.len()];
+        let cross_call = next() % 100 < 40 && callee != f;
+        let mut b = FuncBuilder::new(&mut m, f);
+        let e = b.block("entry");
+        b.switch_to(e);
+        let mut v = Value::Param(0);
+        for j in 0..10 {
+            v = b.add(v, b.const_i32((fam * 3 + j) as i32));
+            v = b.mul(v, Value::Param(0));
+        }
+        if cross_call {
+            v = b.call(callee, vec![v]);
+        }
+        v = b.xor(v, b.const_i32((k % members) as i32));
+        b.ret(Some(v));
+    }
+    m
 }
 
 #[cfg(test)]
