@@ -29,15 +29,12 @@
 //! configuration (the `BENCH_ci.json` artifact), and `--check` turns
 //! parity-budget violations (LSH vs exact, pipeline vs sequential,
 //! daemon vs batch) into a non-zero exit for the CI gate.
-//! `merge-parallel` additionally honours `--spec-batch N` (subjects
-//! scheduled per generation; `0` = whole frontier, the default) —
-//! `fmsa::Config::batch`. `scale` honours
-//! `--functions N` (corpus size; default 1 000 000, or 20 000 with
-//! `--fast`) and `--chunk N` (streamed chunk size): it processes the
-//! corpus one materialized chunk at a time so peak memory stays bounded
-//! by the chunk, then measures a threads-vs-wall scaling curve on a
-//! sampled prefix. `chaos` boots the daemon over a persistent store,
-//! runs concurrent uploads under injected store I/O faults, kills it
+//! `scale` honours `--functions N` (corpus size; default 1 000 000, or
+//! 20 000 with `--fast`) and `--chunk N` (streamed chunk size): it
+//! processes the corpus one materialized chunk at a time so peak memory
+//! stays bounded by the chunk, then measures a threads-vs-wall scaling
+//! curve on a sampled prefix. `chaos` boots the daemon over a persistent
+//! store, runs concurrent uploads under injected store I/O faults, kills it
 //! without drain, truncates/bit-flips the log to simulate dying
 //! mid-write, and gates the recovery invariant (zero checksum-valid
 //! durable entries lost, zero panics, byte-identical re-serve after
@@ -83,17 +80,12 @@ fn main() {
             }
         }
     };
-    let mut overrides = Config::new();
-    if let Some(batch) = flag_value("--spec-batch") {
-        overrides = overrides.batch(batch);
-    }
     let budget_secs = flag_value("--budget").unwrap_or(30);
     let scale_functions = flag_value("--functions");
     let scale_chunk = flag_value("--chunk");
     let trace_out =
         args.iter().position(|a| a == "--trace-out").and_then(|k| args.get(k + 1)).cloned();
-    let value_flags =
-        ["--json", "--spec-batch", "--budget", "--functions", "--chunk", "--trace-out"];
+    let value_flags = ["--json", "--budget", "--functions", "--chunk", "--trace-out"];
     let cmd = args
         .iter()
         .enumerate()
@@ -132,8 +124,8 @@ fn main() {
         "fig14" => fig14(&spec),
         "ablation-params" => ablation_params(&spec),
         "search" => search_scalability(fast, &mut report),
-        "merge-parallel" => merge_parallel(fast, &overrides, &mut report),
-        "wasm" => wasm_frontend(fast, &overrides, &mut report),
+        "merge-parallel" => merge_parallel(fast, &mut report),
+        "wasm" => wasm_frontend(fast, &mut report),
         "fuzz" => fuzz_farm(fast, budget_secs, &mut report),
         "faults" => fault_matrix(fast, &mut report),
         "serve-bench" => serve_bench(fast, &mut report),
@@ -151,8 +143,8 @@ fn main() {
             fig14(&spec);
             ablation_params(&spec);
             search_scalability(fast, &mut report);
-            merge_parallel(fast, &overrides, &mut report);
-            wasm_frontend(fast, &overrides, &mut report);
+            merge_parallel(fast, &mut report);
+            wasm_frontend(fast, &mut report);
             fuzz_farm(fast, budget_secs, &mut report);
             fault_matrix(fast, &mut report);
             serve_bench(fast, &mut report);
@@ -506,16 +498,12 @@ fn search_scalability(fast: bool, report: &mut Report) {
 
 // ---------------------------------------------------------------- pipeline
 
-fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
+fn merge_parallel(fast: bool, report: &mut Report) {
     use fmsa_core::SearchStrategy;
     use fmsa_ir::printer::print_module;
     use fmsa_workloads::{clone_swarm_module, SwarmConfig};
     let auto = Config::new().parallel(0).resolved_threads();
-    println!(
-        "\n== Parallel merge pipeline vs sequential driver (t=5, lsh search, spec-batch={}; \
-         0 = whole frontier) ==",
-        overrides.batch
-    );
+    println!("\n== Parallel merge pipeline vs sequential driver (t=5, lsh search) ==");
     println!(
         "{:>6} {:<11} {:>7} {:>10} {:>8} {:>11} {:>10} {:>8}",
         "#fns", "driver", "threads", "wall", "merges", "reduction%", "identical", "speedup"
@@ -523,7 +511,7 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
     let sizes: &[usize] = if fast { &[100, 1000] } else { &[100, 1000, 5000] };
     for &n in sizes {
         let base = clone_swarm_module(&SwarmConfig::with_functions(n));
-        let cfg = overrides.clone().threshold(5).search(SearchStrategy::lsh());
+        let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
         let mut m_seq = base.clone();
         let t0 = std::time::Instant::now();
         let seq = run_fmsa(&mut m_seq, &cfg);
@@ -583,7 +571,7 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
             println!(
                 "       stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
                  prepare {:.2?} (cpu {:.2?}), commit {:.2?} (codegen {:.2?}, rewrite {:.2?}); \
-                 commit barriers {} (batched {} merges, {} fallback)",
+                 commit barriers {}",
                 p.schedule,
                 p.schedule_query,
                 p.schedule_prefill,
@@ -594,8 +582,6 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
                 p.commit_codegen,
                 p.rewrite,
                 p.commit_barriers,
-                p.batched_merges,
-                p.batch_fallback,
             );
             // Header pairs first, then the canonical PipelineStats field
             // list (shared with `scale --json` and `fmsa_opt --stats`).
@@ -607,7 +593,6 @@ fn merge_parallel(fast: bool, overrides: &Config, report: &mut Report) {
                 ("search", Json::S("lsh".into())),
                 ("alignment", Json::S("needleman-wunsch".into())),
                 ("threads", Json::I(threads as i64)),
-                ("spec_batch", Json::I(pcfg.batch as i64)),
                 ("merges", Json::I(par.merges as i64)),
                 ("reduction_percent", Json::F(par.reduction_percent())),
                 ("wall_s", Json::F(t_par.as_secs_f64())),
@@ -713,8 +698,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
     );
     println!(
         "  stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
-         prepare {:.2?} (cpu {:.2?}), commit {:.2?}; \
-         commit barriers {} (batched {} merges, {} fallback)",
+         prepare {:.2?} (cpu {:.2?}), commit {:.2?}; commit barriers {}",
         agg.schedule,
         agg.schedule_query,
         agg.schedule_prefill,
@@ -723,8 +707,6 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
         agg.prepare_cpu,
         agg.commit,
         agg.commit_barriers,
-        agg.batched_merges,
-        agg.batch_fallback,
     );
     // Header pairs, then the canonical PipelineStats field list (same
     // formatter as merge-parallel and fmsa_opt --stats); `threads` is
@@ -839,7 +821,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
 /// timers (decode/lower/verify) and per-stage pipeline timers, and gates
 /// both merge-output parity across 1/2/4 threads and a non-trivial size
 /// reduction.
-fn wasm_frontend(fast: bool, overrides: &Config, report: &mut Report) {
+fn wasm_frontend(fast: bool, report: &mut Report) {
     use fmsa_core::SearchStrategy;
     use fmsa_ir::printer::print_module;
     use fmsa_workloads::{wasm_fixture_bytes, WasmFixtureConfig};
@@ -883,7 +865,7 @@ fn wasm_frontend(fast: bool, overrides: &Config, report: &mut Report) {
             report.fail(format!("wasm n={n}: lowered module invalid: {}", errs[0]));
             continue;
         }
-        let cfg = overrides.clone().threshold(5).search(SearchStrategy::Auto);
+        let cfg = Config::new().threshold(5).search(SearchStrategy::Auto);
         let mut first: Option<(String, f64)> = None;
         for threads in [1usize, 2, 4] {
             let mut m = base.clone();

@@ -5,7 +5,7 @@
 //! fmsa_opt <input.fir|input.wasm> [--technique identical|soa|fmsa]
 //!          [--threshold N] [--oracle] [--arch x86-64|arm-thumb]
 //!          [--canonicalize] [--search exact|lsh|auto] [--threads N]
-//!          [--spec-batch N] [--exclude name,name]
+//!          [--exclude name,name]
 //!          [--stats] [--trace-out trace.json]
 //!          [--explain-merges decisions.jsonl] [-o <output.fir>]
 //! ```
@@ -20,8 +20,7 @@
 //! workers (default 1, `0` = available parallelism); output is
 //! bit-identical at every thread count and to the paper reference
 //! driver (see `fmsa_core::pipeline`). `--oracle` runs the reference
-//! driver and requires one thread. `--spec-batch N` fixes the subjects
-//! scheduled per generation (`0` = whole frontier, the default).
+//! driver and requires one thread.
 //!
 //! The `fmsa` technique is one [`fmsa::Config`] fed to [`fmsa::optimize`]
 //! — the same call the `fmsa-serve` daemon makes per upload, which is why
@@ -73,7 +72,7 @@ fn main() -> ExitCode {
             "usage: fmsa_opt <input.fir|input.wasm> [--technique identical|soa|fmsa] \
              [--threshold N] [--oracle] [--arch x86-64|arm-thumb] \
              [--canonicalize] [--search exact|lsh|auto] [--threads N] \
-             [--spec-batch N] [--exclude a,b] [--stats] \
+             [--exclude a,b] [--stats] \
              [--trace-out trace.json] [--explain-merges out.jsonl] [-o out.fir]"
         );
         return ExitCode::from(2);
@@ -87,7 +86,6 @@ fn main() -> ExitCode {
     let mut canonicalize = false;
     let mut search = SearchStrategy::Auto;
     let mut threads: Option<usize> = None;
-    let mut spec_batch: Option<usize> = None;
     let mut exclude: HashSet<String> = HashSet::new();
     let mut stats = false;
     let mut trace_out: Option<String> = None;
@@ -116,13 +114,6 @@ fn main() -> ExitCode {
                 Some(Ok(n)) => threads = Some(n),
                 _ => {
                     eprintln!("fmsa_opt: --threads needs a number (0 = available parallelism)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--spec-batch" => match it.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => spec_batch = Some(n),
-                _ => {
-                    eprintln!("fmsa_opt: --spec-batch needs a number (0 = whole frontier)");
                     return ExitCode::from(2);
                 }
             },
@@ -190,9 +181,6 @@ fn main() -> ExitCode {
         .faults(FaultPlan::from_env().unwrap_or_default());
     if let Some(n) = threads {
         cfg = cfg.parallel(n);
-    }
-    if let Some(b) = spec_batch {
-        cfg = cfg.batch(b);
     }
     if trace_out.is_some() {
         fmsa::telemetry::trace::enable();

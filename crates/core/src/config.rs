@@ -72,10 +72,6 @@ pub struct Config {
     /// configuration on a single core. Output is bit-identical at every
     /// thread count.
     pub threads: usize,
-    /// Subjects scheduled per generation (`0` = whole frontier). Smaller
-    /// batches waste fewer prepared alignments when commits invalidate
-    /// scheduled attempts, at the cost of more prepare/commit barriers.
-    pub batch: usize,
     /// Deterministic fault injection (tests, `experiments faults`,
     /// `FMSA_FAULTS`): forces panics or verifier rejections at the plan's
     /// sites, which the pipeline must quarantine — see [`crate::faults`].
@@ -102,7 +98,6 @@ impl Default for Config {
             search: SearchStrategy::Auto,
             budget: fmsa_align::AlignmentBudget::default(),
             threads: 1,
-            batch: 0,
             faults: FaultPlan::disabled(),
             identical_prepass: true,
             fail_on_quarantine: false,
@@ -188,12 +183,6 @@ impl Config {
         } else {
             self.threads
         }
-    }
-
-    /// Sets the pipeline generation batch size.
-    pub fn batch(mut self, batch: usize) -> Config {
-        self.batch = batch;
-        self
     }
 
     /// Installs a fault-injection plan.

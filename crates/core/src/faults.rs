@@ -4,7 +4,7 @@
 //! rejections — at named pipeline sites, standing in for the real bugs
 //! the fault-isolation machinery exists to survive. The plan is a pure
 //! function of its seed and the *names* of the function pair at each
-//! site, so the same pairs fault at every thread count and batch size:
+//! site, so the same pairs fault at every thread count:
 //! the quarantine set a faulted run produces is reproducible from
 //! `(seed, rate, sites)` alone.
 //!
@@ -140,8 +140,7 @@ impl FaultPlan {
 
     /// Whether the plan injects a fault at `site` for the function pair
     /// `(a, b)`. Symmetric in `a`/`b` (the pair may be revisited with
-    /// roles swapped) and independent of thread count, batch size, and
-    /// visit order.
+    /// roles swapped) and independent of thread count and visit order.
     pub fn fires(&self, site: FaultSite, a: &str, b: &str) -> bool {
         if self.rate_ppm == 0 || !self.enables(site) {
             return false;

@@ -115,7 +115,7 @@ impl FmsaStats {
 
 /// Runs the FMSA optimization over `module` with the paper reference
 /// driver. Honours the merge-policy fields of `cfg`; the pipeline fields
-/// (`threads`, `batch`, `faults`, `budget`) do not apply.
+/// (`threads`, `faults`, `budget`) do not apply.
 pub fn run_fmsa(module: &mut Module, cfg: &Config) -> FmsaStats {
     let _pass_span = trace::span("fmsa", "pass");
     let cm = CostModel::new(cfg.arch);

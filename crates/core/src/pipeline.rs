@@ -8,7 +8,7 @@
 //! worklist *generation* into three stages (see `docs/pipeline.md` for
 //! the architecture sketch):
 //!
-//! 1. **Schedule** (parallel): pop a batch of live subjects, query the
+//! 1. **Schedule** (parallel): pop the worklist's live subjects, query the
 //!    [`crate::search::CandidateSearch`] index for each one's top
 //!    candidates — concurrently over the generation's subjects, against
 //!    a shared read-only index — snapshot the per-function mutation
@@ -46,21 +46,6 @@
 //! (in scratch modules, transplanted at commit) was measured on a 2-core
 //! host and never paid for itself; `docs/pipeline.md` has the numbers.
 //!
-//! Accepted merges whose call-graph update provably interacts with
-//! nothing else in the generation — every deletable side has zero
-//! callers, the merged body calls neither its own originals nor anything
-//! an earlier pending merge retired — are not committed one rewrite plan
-//! (and one worker-pool barrier) at a time. Their bookkeeping runs
-//! eagerly (so every later decision reads exactly the state the serial
-//! driver would see) and the residual body work — thunking non-deletable
-//! originals — is accumulated into one [`RewritePlan`] that flushes at
-//! the end of the generation, or just before a merge that fails the
-//! eligibility rules commits immediately. See `docs/pipeline.md`
-//! ("Sharded schedule & batched commit") and the
-//! [`PipelineStats::commit_barriers`] / [`PipelineStats::batched_merges`]
-//! counters; bit-identity under batching is property-tested in
-//! `tests/parallel_pipeline.rs`.
-//!
 //! Because the commit stage replays the reference driver's decision
 //! procedure exactly — same candidate order, same greedy
 //! first-profitable rule, same profitability values — the optimized
@@ -75,7 +60,7 @@
 //! evaluating against the exact module state, so [`run_fmsa_pipeline`]
 //! delegates oracle runs to the reference driver.
 
-use crate::callsites::{outgoing_calls, CallSiteIndex};
+use crate::callsites::CallSiteIndex;
 use crate::config::Config;
 use crate::faults::FaultSite;
 use crate::fingerprint::Fingerprint;
@@ -87,9 +72,7 @@ use crate::quarantine::{panic_message, QuarantineStage};
 use crate::ranking::Candidate;
 use crate::search::CandidateSearch;
 use crate::telemetry::{trace, DecisionOutcome, DecisionRecord};
-use crate::thunks::{
-    can_delete, commit_merge_partitioned, prepare_commit_casts, Disposition, RewritePlan,
-};
+use crate::thunks::{commit_merge_partitioned, CommitResult, Disposition};
 use fmsa_align::{align_with_plan, Alignment};
 use fmsa_ir::{FuncId, Module};
 use fmsa_target::CostModel;
@@ -155,8 +138,8 @@ pub struct PipelineStats {
     /// reason.
     pub transplant: Duration,
     /// Of [`PipelineStats::commit`], the call-graph update (call-site
-    /// rewriting + thunking) — executed as a partitioned rewrite plan on
-    /// the worker pool ([`crate::thunks::RewritePlan`]).
+    /// rewriting + thunking) — executed as a partitioned rewrite on the
+    /// worker pool ([`crate::thunks::commit_merge_partitioned`]).
     pub rewrite: Duration,
     /// Pairs quarantined because sequence alignment panicked.
     pub quarantined_align: usize,
@@ -173,20 +156,10 @@ pub struct PipelineStats {
     /// Differential mismatches attributed to this run by an external
     /// driver (the fuzz farm); the pipeline itself never sets it.
     pub mismatches: usize,
-    /// Commit-stage barriers: rewrite-plan executions, each one a
-    /// detach/pool-scope handoff. One per batch flush plus one per
-    /// immediate (batch-ineligible) commit — the quantity batching
-    /// shrinks from one-per-merge to one-(or a few)-per-generation.
+    /// Commit-stage barriers: partitioned call-graph updates, each one a
+    /// detach/pool-scope handoff. Every profitable merge commits at once
+    /// through its own, so this equals the number of commits.
     pub commit_barriers: usize,
-    /// Merges committed through a deferred batch (bookkeeping eager,
-    /// body work folded into the generation's flush; no private barrier).
-    pub batched_merges: usize,
-    /// Profitable merges that failed the batch-eligibility rules (a
-    /// deletable side with live callers, a merged body calling its own
-    /// originals or a pending side, or a feedback merge onto a pending
-    /// merged function) and fell back to an immediate single-merge plan,
-    /// flushing any pending batch first.
-    pub batch_fallback: usize,
 }
 
 impl PipelineStats {
@@ -222,8 +195,6 @@ impl PipelineStats {
         self.panics_caught += other.panics_caught;
         self.mismatches += other.mismatches;
         self.commit_barriers += other.commit_barriers;
-        self.batched_merges += other.batched_merges;
-        self.batch_fallback += other.batch_fallback;
     }
 
     /// The canonical `(name, value)` serialization of every counter and
@@ -250,8 +221,6 @@ impl PipelineStats {
             ("commit_codegen_s", Secs(self.commit_codegen.as_secs_f64())),
             ("rewrite_s", Secs(self.rewrite.as_secs_f64())),
             ("commit_barriers", Count(self.commit_barriers as u64)),
-            ("batched_merges", Count(self.batched_merges as u64)),
-            ("batch_fallback", Count(self.batch_fallback as u64)),
             ("quarantined", Count(self.quarantined() as u64)),
             ("quarantined_align", Count(self.quarantined_align as u64)),
             ("quarantined_codegen", Count(self.quarantined_codegen as u64)),
@@ -359,8 +328,7 @@ pub fn run_fmsa_pipeline(module: &mut Module, cfg: &Config) -> FmsaStats {
 
 /// The pipeline's state across generations: the seeded pass (index,
 /// fingerprints, worklist, live set), the caches that let the commit
-/// stage re-validate prepared attempts, the run statistics, and the
-/// generation's pending batch of deferred merges.
+/// stage re-validate prepared attempts, and the run statistics.
 struct Driver<'c> {
     cfg: &'c Config,
     cm: CostModel,
@@ -383,12 +351,6 @@ struct Driver<'c> {
     /// lists are re-queried (exactly what the reference driver would see
     /// at this point of the worklist).
     dirty: bool,
-    /// Deferred call-graph work of the generation's batch-eligible
-    /// merges (thunk bodies, removal confirmation), executed through one
-    /// barrier by [`Driver::flush`].
-    plan: RewritePlan,
-    /// The dispositions predicted for `plan`'s merges at decision time.
-    pending: Vec<(Disposition, Disposition)>,
     stats: FmsaStats,
     pstats: PipelineStats,
 }
@@ -419,8 +381,6 @@ impl<'c> Driver<'c> {
             gens: HashMap::new(),
             epoch: 0,
             dirty: false,
-            plan: RewritePlan::new(),
-            pending: Vec::new(),
             stats,
             pstats: PipelineStats { threads, ..PipelineStats::default() },
         }
@@ -449,14 +409,9 @@ impl<'c> Driver<'c> {
         let _gen_span = trace::span_with("fmsa", "generation", || {
             vec![("gen", self.pstats.generations.to_string())]
         });
-        let batch = self.cfg.batch;
-        let take = if batch == 0 { self.worklist.len() } else { batch.min(self.worklist.len()) };
         let live = &self.live;
-        let subjects: Vec<FuncId> = self
-            .worklist
-            .drain(..take)
-            .filter(|&f| live.contains(&f) && module.is_live(f))
-            .collect();
+        let subjects: Vec<FuncId> =
+            self.worklist.drain(..).filter(|&f| live.contains(&f) && module.is_live(f)).collect();
         if subjects.is_empty() {
             return;
         }
@@ -555,7 +510,7 @@ impl<'c> Driver<'c> {
 
     /// The sequential commit stage: visits the generation's subjects in
     /// worklist order and runs the greedy exploration over each one's
-    /// candidates, then flushes the generation's batch.
+    /// candidates.
     fn commit(
         &mut self,
         module: &mut Module,
@@ -589,10 +544,6 @@ impl<'c> Driver<'c> {
                 }
             }
         }
-        // End-of-generation flush: nothing pends across generations —
-        // the next schedule must see final bodies before handing shared
-        // references to the workers.
-        self.flush(module);
         self.pstats.commit += t_commit.elapsed();
     }
 
@@ -783,13 +734,6 @@ impl<'c> Driver<'c> {
     /// fingerprints and liveness, the call-site index and mutation
     /// generations, and the worklist (feedback loop). `rank` is the
     /// winning candidate's 1-based position.
-    ///
-    /// A batch-eligible merge defers its body work (thunking) to the
-    /// generation's [`RewritePlan`]; any other merge flushes the pending
-    /// batch, which precedes it in serial order, and commits through an
-    /// immediate single-merge plan. Either way the bookkeeping below runs
-    /// now, so every later decision reads exactly the state the
-    /// reference driver would see.
     fn accept(
         &mut self,
         module: &mut Module,
@@ -799,43 +743,19 @@ impl<'c> Driver<'c> {
         mut rec: DecisionRecord,
     ) {
         let f2 = info.f2;
-        let deletable = [can_delete(module, f1), can_delete(module, f2)];
-        let defer = self.batch_eligible(module, f1, &info, deletable);
-        if !defer {
-            self.flush(module);
-            self.pstats.batch_fallback += 1;
-        }
         let t0 = Instant::now();
-        let committed = if defer {
-            // Serial commit would intern the thunk-side cast container
-            // types right now; replay that eagerly so the deferred
-            // execution leaves the type store bit-identical.
-            prepare_commit_casts(module, &info).is_ok().then(|| {
-                let [first, second] =
-                    deletable.map(|d| if d { Disposition::Deleted } else { Disposition::Thunk });
-                self.plan.add_merge(module, &info, &self.call_sites);
-                self.pending.push((first, second));
-                self.pstats.batched_merges += 1;
-                (first, second, Vec::new())
-            })
-        } else {
-            // Call-graph update through the partitioned plan: callers
-            // come from the incremental call-site index, disjoint caller
-            // partitions rewrite on the worker pool.
-            self.pstats.commit_barriers += 1;
-            commit_merge_partitioned(module, &info, &self.call_sites, self.pool())
-                .ok()
-                .map(|c| (c.first, c.second, c.touched))
-        };
+        // Call-graph update through the partitioned rewrite: callers
+        // come from the incremental call-site index, disjoint caller
+        // partitions rewrite on the worker pool.
+        self.pstats.commit_barriers += 1;
+        let committed = commit_merge_partitioned(module, &info, &self.call_sites, self.pool());
         self.stats.timers.update_calls += t0.elapsed();
         self.pstats.rewrite += t0.elapsed();
-        let Some((first, second, touched)) = committed else {
+        let Ok(CommitResult { first, second, touched }) = committed else {
             // Should not happen (guarded by tests). Mirror the reference
-            // driver: drop the merge and abandon this subject, after the
-            // pending batch that precedes it. A failed commit may have
-            // partially rewritten call sites, a state the per-function
-            // generations cannot describe, so resynchronize.
-            self.flush(module);
+            // driver: drop the merge and abandon this subject. A failed
+            // commit may have partially rewritten call sites, a state the
+            // per-function generations cannot describe, so resynchronize.
             module.remove_function(info.merged);
             rec.outcome = DecisionOutcome::Failed;
             self.stats.decisions.push(rec);
@@ -856,23 +776,16 @@ impl<'c> Driver<'c> {
                     self.stats.deleted += 1;
                     self.call_sites.remove(func);
                     self.gens.remove(&func);
-                    // An immediate commit has removed it already; a
-                    // deferred one removes it now, so liveness and
-                    // `func_by_name` (merged-name deduplication) match
-                    // the reference driver. Removal is idempotent.
-                    module.remove_function(func);
                 }
                 Disposition::Thunk => {
                     self.stats.thunks += 1;
-                    // The thunk's one call, whether its body is built
-                    // already or deferred to the flush.
-                    self.call_sites.set_thunk(func, info.merged);
+                    self.call_sites.refresh(module, func);
                     *self.gens.entry(func).or_insert(0) += 1;
                 }
             }
         }
-        // Rewritten callers (never any for a deferred merge) get new
-        // generations and fresh call-site entries.
+        // Rewritten callers get new generations and fresh call-site
+        // entries.
         for &g in &touched {
             self.lin_cache.invalidate(g);
             *self.gens.entry(g).or_insert(0) += 1;
@@ -903,81 +816,9 @@ impl<'c> Driver<'c> {
         self.dirty = true;
     }
 
-    /// Batch eligibility: the merge's call-graph update must provably
-    /// interact with nothing else in the generation. Every deletable side
-    /// has zero callers to rewrite (after the serial loop's own filters),
-    /// neither side is a merged function still pending in the batch, and
-    /// the merged body is already final (it calls neither its own
-    /// originals nor anything the batch retired). Such a commit touches
-    /// no third function, so its bookkeeping can run eagerly and its
-    /// body work can wait for the flush.
-    fn batch_eligible(
-        &self,
-        module: &Module,
-        f1: FuncId,
-        info: &MergeInfo,
-        deletable: [bool; 2],
-    ) -> bool {
-        let retired = self.plan.retired();
-        let callers_clear =
-            [(f1, deletable[0]), (info.f2, deletable[1])].into_iter().all(|(func, del)| {
-                !del || self
-                    .call_sites
-                    .callers_of(func)
-                    .into_iter()
-                    .all(|g| g == func || retired.contains(&g) || !module.is_live(g))
-            });
-        let merged_out = outgoing_calls(module.func(info.merged));
-        callers_clear
-            && !self.plan.merged_funcs().contains(&f1)
-            && !self.plan.merged_funcs().contains(&info.f2)
-            && !merged_out.contains_key(&f1)
-            && !merged_out.contains_key(&info.f2)
-            && merged_out.keys().all(|c| !retired.contains(c))
-    }
-
-    /// Executes the pending batch of deferred merges (no-op when empty):
-    /// thunks the non-deletable originals and re-confirms the removals,
-    /// all through one [`RewritePlan::execute`] barrier. The eligibility
-    /// rules guarantee the plan rewrites no caller, so the flush commutes
-    /// with everything that ran since the merges were accepted.
-    fn flush(&mut self, module: &mut Module) {
-        if self.plan.merges() == 0 {
-            return;
-        }
-        let _span = trace::span("fmsa", "flush_batch");
-        let t0 = Instant::now();
-        let plan = std::mem::take(&mut self.plan);
-        let expected = std::mem::take(&mut self.pending);
-        match plan.execute(module, self.pool()) {
-            Ok(results) => {
-                debug_assert_eq!(
-                    results.iter().map(|r| (r.first, r.second)).collect::<Vec<_>>(),
-                    expected,
-                    "deferred dispositions must match the decision-time prediction"
-                );
-                debug_assert!(
-                    results.iter().all(|r| r.touched.is_empty()),
-                    "batch-eligible merges must not touch any caller"
-                );
-            }
-            // Should not happen: eligible merges schedule no caller
-            // rewrites and their thunk cast types were pre-interned at
-            // decision time. The merges stay accepted (their bookkeeping
-            // already fed the feedback loop); resynchronize with whatever
-            // state the module is in.
-            Err(_) => self.resync(module),
-        }
-        let dt = t0.elapsed();
-        self.stats.timers.update_calls += dt;
-        self.pstats.rewrite += dt;
-        self.pstats.commit_barriers += 1;
-    }
-
     /// Rebuilds the caches from the module and invalidates every prepared
-    /// attempt — after a failed commit or flush, which may leave
-    /// the module in a state the per-function generations cannot
-    /// describe.
+    /// attempt — after a failed commit, which may leave the module in a
+    /// state the per-function generations cannot describe.
     fn resync(&mut self, module: &Module) {
         self.call_sites = CallSiteIndex::build(module);
         self.lin_cache = LinearizationCache::new();
@@ -1045,13 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn small_batches_match_sequential() {
-        for batch in [1, 2, 3] {
-            assert_matches_sequential(&t5().parallel(4).batch(batch));
-        }
-    }
-
-    #[test]
     fn lsh_pipeline_matches_lsh_sequential() {
         assert_matches_sequential(&t5().search(crate::SearchStrategy::lsh()).parallel(4));
     }
@@ -1081,28 +915,7 @@ mod tests {
         assert!(p.reused > 0);
         assert!(p.rewrite > Duration::ZERO, "commits must book rewrite time: {p:?}");
         assert!(p.rewrite <= p.commit, "{p:?}");
-        assert!(fmsa_ir::verify_module(&m).is_empty());
-    }
-
-    #[test]
-    fn generation_commits_are_batched() {
-        // Clone families are internal with no callers, so merges are
-        // batch-eligible unless a subject picks a merged function still
-        // pending in the batch (a fallback, flushed and committed
-        // immediately). Either way, every merge is accounted once and
-        // the barrier count stays below one-per-merge.
-        let mut m = Module::new("m");
-        clone_family(&mut m, 8, 12);
-        let stats = run_fmsa_pipeline(&mut m, &t5().parallel(4));
-        let p = stats.pipeline.expect("pipeline stats");
-        assert_eq!(p.batched_merges + p.batch_fallback, stats.merges, "{p:?}");
-        assert!(p.batched_merges > 0, "eligible merges must defer: {p:?}");
-        assert!(
-            p.commit_barriers <= 2 * p.batch_fallback + p.generations,
-            "per fallback: one flush plus one immediate barrier; plus at most one \
-             flush per generation: {p:?}"
-        );
-        assert!(p.commit_barriers < stats.merges || stats.merges <= 1, "{p:?}");
+        assert_eq!(p.commit_barriers, stats.merges, "one barrier per commit: {p:?}");
         assert!(fmsa_ir::verify_module(&m).is_empty());
     }
 

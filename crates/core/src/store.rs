@@ -41,10 +41,9 @@
 //! Recovery ([`FunctionStore::open`]) scans to the last record whose
 //! frame parses and whose checksum matches — the longest valid prefix —
 //! then truncates the log there so later appends land on a clean tail.
-//! Whatever was dropped is reported in [`RecoveryStats`]. A legacy
-//! `fmsa-store v1` log (no checksums) still loads, read-only; the first
-//! compaction — explicit, automatic, or forced by the first append —
-//! rewrites it as v2.
+//! Whatever was dropped is reported in [`RecoveryStats`]. A file with
+//! any other header — the retired, unchecksummed `fmsa-store v1` format
+//! included — recovers nothing and is truncated to zero on open.
 //!
 //! Durability is governed by [`FsyncPolicy`]; compaction
 //! ([`FunctionStore::compact`]) rewrites the live records to
@@ -72,8 +71,6 @@ pub const STORE_FILE: &str = "functions.store";
 /// Compaction scratch file; renamed over [`STORE_FILE`] on success,
 /// deleted on failure, ignored (and removed) if found at open time.
 pub const STORE_TMP_FILE: &str = "functions.store.tmp";
-/// First line of a v1 store file.
-const STORE_HEADER_V1: &str = "fmsa-store v1";
 /// First line of a v2 store file.
 const STORE_HEADER_V2: &str = "fmsa-store v2";
 
@@ -230,9 +227,6 @@ pub struct RecoveryStats {
     pub skipped_records: usize,
     /// Bytes past the valid prefix, dropped (and truncated) at open.
     pub bytes_dropped: u64,
-    /// Whether the log was a legacy v1 file (loads read-only; the first
-    /// compaction migrates it to v2).
-    pub from_v1: bool,
 }
 
 /// What one [`FunctionStore::compact`] call did.
@@ -352,7 +346,6 @@ pub struct FunctionStore {
     misses: u64,
     // --- persistence state (all zero/inert for in-memory stores) ---
     file: Option<File>,
-    format_v1: bool,
     opts: StoreOptions,
     last_sync: Instant,
     dirty: bool,
@@ -375,7 +368,6 @@ impl FunctionStore {
             hits: 0,
             misses: 0,
             file: None,
-            format_v1: false,
             opts: StoreOptions::default(),
             last_sync: Instant::now(),
             dirty: false,
@@ -412,7 +404,7 @@ impl FunctionStore {
         if path.exists() {
             let raw = std::fs::read(&path)?;
             let valid_len = store.load(&raw);
-            if !store.format_v1 && valid_len < raw.len() {
+            if valid_len < raw.len() {
                 // Truncate to the valid prefix so later appends land on
                 // a clean tail instead of hiding behind corrupt bytes.
                 let f = std::fs::OpenOptions::new().write(true).open(&path)?;
@@ -472,7 +464,7 @@ impl FunctionStore {
     }
 
     /// Bytes in the log that compaction would reclaim (`seen` bump
-    /// records, dropped tails of a v1 log).
+    /// records, duplicate entry records).
     pub fn dead_bytes(&self) -> u64 {
         self.dead_bytes
     }
@@ -497,14 +489,9 @@ impl FunctionStore {
         self.compact_failures
     }
 
-    /// The log format version this store is currently reading/writing:
-    /// 1 only for a legacy log that has not yet been compacted.
+    /// The log format version this store reads and writes: always 2.
     pub fn format_version(&self) -> u32 {
-        if self.format_v1 {
-            1
-        } else {
-            2
-        }
+        2
     }
 
     /// Replaces the store's fault-injection plan (only the `store-*`
@@ -656,8 +643,7 @@ impl FunctionStore {
     /// Rewrites the log to exactly the live entries (current `seen`
     /// counts folded in, bump records dropped) via
     /// `functions.store.tmp` + atomic rename. A crash or injected fault
-    /// at any point leaves either the old or the new log. Also the v1 →
-    /// v2 migration path: the compacted log is always v2.
+    /// at any point leaves either the old or the new log.
     pub fn compact(&mut self) -> Result<CompactStats, Error> {
         let Some(dir) = self.dir.clone() else {
             return Ok(CompactStats::default());
@@ -678,7 +664,6 @@ impl FunctionStore {
             let _ = d.sync_all();
         }
         self.file = Some(std::fs::OpenOptions::new().append(true).open(&path)?);
-        self.format_v1 = false;
         self.total_bytes = buf.len() as u64;
         self.dead_bytes = 0;
         self.dirty = false;
@@ -717,18 +702,12 @@ impl FunctionStore {
         )))
     }
 
-    /// Appends one framed record, migrating a v1 log to v2 first (via
-    /// compaction) if needed. `dead` marks records that compaction will
-    /// reclaim (seen bumps). Write-ahead: callers insert into memory
+    /// Appends one framed record. `dead` marks records that compaction
+    /// will reclaim (seen bumps). Write-ahead: callers insert into memory
     /// only after this succeeds.
     fn append_record(&mut self, payload: &[u8], dead: bool) -> Result<(), Error> {
         if self.dir.is_none() {
             return Ok(());
-        }
-        if self.format_v1 {
-            // A v1 log is read-only; the first write forces the
-            // migration compaction that rewrites it as v2.
-            self.compact()?;
         }
         let framed = frame(payload);
         self.ops += 1;
@@ -825,8 +804,8 @@ impl FunctionStore {
         Ok(())
     }
 
-    /// Loads entries from a raw store file (v1 or v2), returning the
-    /// byte length of the valid prefix.
+    /// Loads entries from a raw store file, returning the byte length of
+    /// the valid prefix.
     fn load(&mut self, raw: &[u8]) -> usize {
         let scan = scan_store(raw);
         self.recovery = RecoveryStats {
@@ -834,53 +813,28 @@ impl FunctionStore {
             seen_records: scan.seen_records,
             skipped_records: scan.skipped_records,
             bytes_dropped: (raw.len() - scan.valid_len) as u64,
-            from_v1: scan.version == 1,
         };
-        self.format_v1 = scan.version == 1;
-        match scan.version {
-            1 => {
-                let text = std::str::from_utf8(raw).unwrap_or("");
-                let mut cursor = text
-                    .strip_prefix(STORE_HEADER_V1)
-                    .and_then(|r| r.strip_prefix('\n'))
-                    .unwrap_or("");
-                while let Some((entry, rest)) = parse_v1_record(cursor) {
-                    cursor = rest;
+        // An unrecognized header walks to no records and a zero valid
+        // prefix: nothing is recovered, the file is truncated to zero and
+        // rewritten as v2 on first append.
+        for (payload, size) in walk_v2(raw).0 {
+            match payload {
+                V2Payload::Entry(entry) => {
                     if !self.by_hash.contains_key(&entry.hash.0) {
                         self.insert_entry(entry);
+                    } else {
+                        self.dead_bytes += size as u64;
                     }
                 }
-                // The whole v1 file (valid prefix included) is dead
-                // weight: the migration compaction rewrites all of it.
-                self.total_bytes = raw.len() as u64;
-                self.dead_bytes = (raw.len() - scan.valid_len) as u64;
-            }
-            2 => {
-                for (payload, size) in walk_v2(raw).0 {
-                    match payload {
-                        V2Payload::Entry(entry) => {
-                            if !self.by_hash.contains_key(&entry.hash.0) {
-                                self.insert_entry(entry);
-                            } else {
-                                self.dead_bytes += size as u64;
-                            }
-                        }
-                        V2Payload::Seen(hash, delta) => {
-                            if let Some(&i) = self.by_hash.get(&hash.0) {
-                                self.entries[i].seen += delta;
-                            }
-                            self.dead_bytes += size as u64;
-                        }
+                V2Payload::Seen(hash, delta) => {
+                    if let Some(&i) = self.by_hash.get(&hash.0) {
+                        self.entries[i].seen += delta;
                     }
+                    self.dead_bytes += size as u64;
                 }
-                self.total_bytes = scan.valid_len as u64;
-            }
-            _ => {
-                // Unrecognized header: recover nothing; the file is
-                // truncated to zero and rewritten as v2 on first append.
-                self.total_bytes = 0;
             }
         }
+        self.total_bytes = scan.valid_len as u64;
         self.recovery.entries = self.entries.len();
         scan.valid_len
     }
@@ -1011,12 +965,11 @@ fn count_skipped(remainder: &[u8]) -> usize {
 /// simulated crash.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreScan {
-    /// Detected format version (0 = unrecognized/empty, 1, or 2).
+    /// Detected format version (0 = unrecognized/empty, or 2).
     pub version: u32,
     /// Recovered `(hash, seen)` pairs, bump records folded in.
     pub entries: Vec<(ContentHash, u64)>,
-    /// Byte length of the checksum-valid prefix (v2) or parsed prefix
-    /// (v1).
+    /// Byte length of the checksum-valid prefix.
     pub valid_len: usize,
     /// Frame headers (or one torn record) past the valid prefix.
     pub skipped_records: usize,
@@ -1054,27 +1007,6 @@ pub fn scan_store(raw: &[u8]) -> StoreScan {
             seen_records,
         };
     }
-    let v1_header = format!("{STORE_HEADER_V1}\n");
-    if raw.starts_with(v1_header.as_bytes()) {
-        let text = std::str::from_utf8(raw).unwrap_or("");
-        let mut entries: Vec<(ContentHash, u64)> = Vec::new();
-        let mut cursor = &text[v1_header.len().min(text.len())..];
-        while let Some((entry, rest)) = parse_v1_record(cursor) {
-            cursor = rest;
-            if !entries.iter().any(|(h, _)| *h == entry.hash) {
-                entries.push((entry.hash, entry.seen));
-            }
-        }
-        let valid_len = raw.len() - cursor.len();
-        let skipped = if cursor.is_empty() { 0 } else { 1 };
-        return StoreScan {
-            version: 1,
-            entries,
-            valid_len,
-            skipped_records: skipped,
-            seen_records: 0,
-        };
-    }
     StoreScan {
         version: 0,
         entries: Vec::new(),
@@ -1082,37 +1014,6 @@ pub fn scan_store(raw: &[u8]) -> StoreScan {
         skipped_records: if raw.is_empty() { 0 } else { 1 },
         seen_records: 0,
     }
-}
-
-/// Parses one legacy v1 record off the front of `cursor`; `None` on a
-/// malformed or truncated record.
-fn parse_v1_record(cursor: &str) -> Option<(StoreEntry, &str)> {
-    let (header, body) = cursor.split_once('\n')?;
-    let fields = header.strip_prefix("fn ")?;
-    let (hash_s, fields) = fields.split_once(' ')?;
-    let hash = ContentHash::from_hex(hash_s)?;
-    let (seen_s, fields) = fields.split_once(' ')?;
-    let seen: u64 = seen_s.strip_prefix("seen=")?.parse().ok()?;
-    let (len_s, fields) = fields.split_once(' ')?;
-    let len: usize = len_s.strip_prefix("len=")?.parse().ok()?;
-    let (sig_s, name_s) = fields.split_once(' ')?;
-    let sig_s = sig_s.strip_prefix("sig=")?;
-    let name = name_s.strip_prefix("name=")?.to_owned();
-    let mut signature = Vec::new();
-    for part in sig_s.split(',') {
-        signature.push(u64::from_str_radix(part, 16).ok()?);
-    }
-    if body.len() < len + 1 || !body.is_char_boundary(len) {
-        return None; // torn tail
-    }
-    let text = body[..len].to_owned();
-    let rest = body[len..].strip_prefix('\n')?;
-    // The stored hash must match the stored text — a mismatch means the
-    // record (not just the tail) is corrupt, so stop here too.
-    if ContentHash::of_bytes(text.as_bytes()) != hash {
-        return None;
-    }
-    Some((StoreEntry { hash, name, seen, text, signature }, rest))
 }
 
 #[cfg(test)]
@@ -1289,53 +1190,6 @@ mod tests {
             assert_eq!(e.seen, 3, "folded seen survives compaction");
         }
         assert_eq!(store.recovery().seen_records, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_store_loads_and_migrates_through_compaction() {
-        let dir = temp_dir("v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Build entries via an in-memory store, then write them in the
-        // legacy v1 format by hand.
-        let m = module_with(&[("a", 1), ("c", 9)]);
-        let mut mem = FunctionStore::in_memory();
-        mem.ingest_module(&m).unwrap();
-        let mut v1 = format!("{STORE_HEADER_V1}\n");
-        for e in mem.entries() {
-            let sig: Vec<String> = e.signature.iter().map(|x| format!("{x:x}")).collect();
-            v1.push_str(&format!(
-                "fn {} seen=2 len={} sig={} name={}\n",
-                e.hash,
-                e.text.len(),
-                sig.join(","),
-                e.name
-            ));
-            v1.push_str(&e.text);
-            v1.push('\n');
-        }
-        std::fs::write(dir.join(STORE_FILE), v1.as_bytes()).unwrap();
-
-        let mut store = FunctionStore::open(&dir).unwrap();
-        assert_eq!(store.format_version(), 1);
-        assert!(store.recovery().from_v1);
-        assert_eq!(store.len(), 2);
-        for e in store.entries() {
-            assert_eq!(e.seen, 2);
-        }
-        // An ingest forces the migration compaction, then appends v2.
-        store.ingest_module(&m).unwrap();
-        assert_eq!(store.format_version(), 2);
-        assert!(store.compactions() >= 1);
-        drop(store);
-        let raw = std::fs::read(dir.join(STORE_FILE)).unwrap();
-        assert!(raw.starts_with(format!("{STORE_HEADER_V2}\n").as_bytes()));
-        let store = FunctionStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 2);
-        assert!(!store.recovery().from_v1);
-        for e in store.entries() {
-            assert_eq!(e.seen, 3, "historical v1 count + migrated bump");
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

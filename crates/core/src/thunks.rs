@@ -18,7 +18,7 @@ use fmsa_ir::{
     FuncId, Function, Inst, InstId, Linkage, Module, Opcode, TyId, Type, TypeStore, Value,
 };
 use rayon::ThreadPool;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How one original function was retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,7 +159,8 @@ fn prepare_side_casts(types: &mut TypeStore, rw: &CallRewrite) -> Result<(), Mer
 
 /// [`rewrite_one_call`] against a (possibly detached) function: mutates
 /// only `f` and reads only pre-interned types, so disjoint callers can be
-/// rewritten from different worker threads (see [`RewritePlan`]).
+/// rewritten from different worker threads (see
+/// [`commit_merge_partitioned`]).
 fn rewrite_one_call_in(
     f: &mut Function,
     types: &TypeStore,
@@ -311,8 +312,9 @@ pub fn commit_merge(module: &mut Module, info: &MergeInfo) -> Result<CommitResul
     Ok(CommitResult { first: dispositions[0], second: dispositions[1], touched })
 }
 
-/// One caller-exclusive action inside a [`RewritePlan`] partition.
-#[derive(Debug, Clone)]
+/// One caller-exclusive action inside a partition of
+/// [`commit_merge_partitioned`].
+#[derive(Debug)]
 enum RewriteTask {
     /// Rewrite every direct call/invoke of `from` in this caller into a
     /// call of the merged function per `rw`.
@@ -322,236 +324,99 @@ enum RewriteTask {
     Thunk { rw: CallRewrite },
 }
 
-/// How one original function will be retired when its plan executes.
-#[derive(Debug)]
-struct PlannedSide {
-    func: FuncId,
-    rw: CallRewrite,
-    disposition: Disposition,
-    /// Callers from the call-site index (committed module state), in
-    /// module order, minus sides retired earlier in the batch. The
-    /// batch's merged functions are scanned at execute time, when all of
-    /// them are known.
-    index_callers: Vec<FuncId>,
-}
-
-/// A partitioned call-graph-update plan for a batch of validated merges —
-/// the parallel replacement for serial [`commit_merge`] loops.
+/// [`commit_merge`] as a partitioned rewrite: identical output, but the
+/// call-graph update runs as per-caller partitions on `pool` (pass `None`
+/// to run them inline). The pipeline's commit stage uses this so
+/// call-site rewriting and thunking scale with the worker pool.
 ///
-/// [`RewritePlan::add_merge`] records, per merge, the rewrite description
-/// of both sides and the callers of each deletable side (via the
-/// incremental [`CallSiteIndex`]). [`RewritePlan::execute`] then scans
-/// the batch's merged functions (absent from the index, but their bodies
-/// can carry rewritable call sites — recursion, or a later merge built
-/// from a caller of an earlier side), groups every rewrite **by
-/// caller** — each caller is one partition, mutated exclusively by one
-/// task list — detaches the partitions from the module, and runs them on
-/// the worker pool: disjoint callers in parallel, a caller touched by
-/// multiple merges (or by both sides of one merge) serially within its
-/// partition, in the order the merges were added. Every cross-caller
-/// effect of the serial loop is hoisted into the sequential plan/assemble
-/// steps — cast container types are pre-interned in the serial order
-/// (`prepare_cast_tys`), deletions are deferred past every rewrite — so
-/// the result is bit-identical, at any thread count, to building every
-/// merged function first and then running serial [`commit_merge`] once
-/// per merge in add order (property-tested in `tests/rewrite_plan.rs`).
+/// The callers of each deletable side come from the incremental
+/// [`CallSiteIndex`], which must describe the committed module state
+/// (the merged function present in the module but not indexed). The
+/// merged body, absent from the index, is scanned for calls to its own
+/// originals (recursion). Every rewrite is grouped **by caller** — each
+/// caller is one partition, mutated exclusively by one task list, in
+/// side order when both sides touch it — and the partitions are detached
+/// from the module and run on the pool. Every cross-caller effect of the
+/// serial loop is hoisted out of them: cast container types are
+/// pre-interned in serial commit order (`prepare_cast_tys`), and the
+/// deletable originals are removed after every rewrite. The result is
+/// bit-identical to [`commit_merge`] at any thread count
+/// (property-tested in `tests/rewrite_plan.rs`).
 ///
-/// Batch contract: the originals of the added merges must be pairwise
-/// distinct functions that existed before the batch — a merged function
-/// produced by this batch cannot itself be a side of a later merge in
-/// the same batch (the paper's feedback loop commits such merges one
-/// plan at a time, as the pipeline does; `add_merge` asserts this).
-/// `sites` must describe the module state before any merge of the batch
-/// (the batch's own merged functions are scanned directly, so they may
-/// be present in the module but need not be indexed).
-#[derive(Debug, Default)]
-pub struct RewritePlan {
-    /// Both sides of every added merge, in add order.
-    sides: Vec<PlannedSide>,
-    /// Sides already planned by this batch: their bodies are replaced or
-    /// removed before any later rewrite would reach them serially, so
-    /// later merges must not schedule rewrites inside them.
-    retired: HashSet<FuncId>,
-    /// Merged functions of the batch — live in the module but absent
-    /// from the call-site index; scanned at execute time.
-    merged: Vec<FuncId>,
+/// # Errors
+///
+/// See [`commit_merge`].
+pub fn commit_merge_partitioned(
+    module: &mut Module,
+    info: &MergeInfo,
+    sites: &CallSiteIndex,
+    pool: Option<&ThreadPool>,
+) -> Result<CommitResult, MergeError> {
+    let merged_out = outgoing_calls(module.func(info.merged));
+    let mut tasks: BTreeMap<FuncId, Vec<RewriteTask>> = BTreeMap::new();
+    let mut touched: BTreeSet<FuncId> = BTreeSet::new();
+    let mut disp = [Disposition::Thunk; 2];
+    for (k, (func, first)) in [(info.f1, true), (info.f2, false)].into_iter().enumerate() {
+        let rw = CallRewrite::for_side(module, info, first);
+        if can_delete(module, func) {
+            disp[k] = Disposition::Deleted;
+            // The index's callers minus the side itself (a serial scan
+            // skips it) and side 1 (already thunked or deleted when side
+            // 2 commits serially), plus the merged body.
+            let mut callers: BTreeSet<FuncId> = sites
+                .callers_of(func)
+                .into_iter()
+                .filter(|&g| g != func && g != info.f1 && module.is_live(g))
+                .collect();
+            if merged_out.contains_key(&func) {
+                callers.insert(info.merged);
+            }
+            if !callers.is_empty() {
+                prepare_side_casts(&mut module.types, &rw)?;
+            }
+            for &g in &callers {
+                tasks.entry(g).or_default().push(RewriteTask::Calls { from: func, rw: rw.clone() });
+            }
+            touched.extend(callers);
+        } else {
+            // Keep the symbol; external callers keep its signature.
+            prepare_side_casts(&mut module.types, &rw)?;
+            tasks.entry(func).or_default().push(RewriteTask::Thunk { rw });
+        }
+    }
+    let (order, task_lists): (Vec<FuncId>, Vec<Vec<RewriteTask>>) = tasks.into_iter().unzip();
+    let results: Vec<Result<(), MergeError>> =
+        module.with_detached_functions(&order, |types, funcs| match pool {
+            Some(pool) if pool.current_num_threads() > 1 && funcs.len() > 1 => {
+                let mut results: Vec<Result<(), MergeError>> = Vec::new();
+                results.resize_with(funcs.len(), || Ok(()));
+                pool.scope(|s| {
+                    for ((f, tasks), slot) in
+                        funcs.iter_mut().zip(&task_lists).zip(results.iter_mut())
+                    {
+                        s.spawn(move |_| *slot = run_partition(f, types, tasks));
+                    }
+                });
+                results
+            }
+            _ => funcs
+                .iter_mut()
+                .zip(&task_lists)
+                .map(|(f, tasks)| run_partition(f, types, tasks))
+                .collect(),
+        });
+    for r in results {
+        r?;
+    }
+    for (func, d) in [(info.f1, disp[0]), (info.f2, disp[1])] {
+        if d == Disposition::Deleted {
+            module.remove_function(func);
+        }
+    }
+    Ok(CommitResult { first: disp[0], second: disp[1], touched: touched.into_iter().collect() })
 }
 
-impl RewritePlan {
-    /// An empty plan.
-    pub fn new() -> RewritePlan {
-        RewritePlan::default()
-    }
-
-    /// Records the call-graph update of one merge (both sides) in the
-    /// batch. Pure bookkeeping — the module is only read.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a batch-contract violation: a side that is a merged
-    /// function of this batch, or a side (or merged function) planned
-    /// twice. Rewrites targeting a batch-produced function only exist
-    /// after earlier partitions ran, so they cannot be planned
-    /// statically; committing such a merge silently wrong would be far
-    /// worse than refusing it — use one plan per merge (the pipeline's
-    /// configuration) for feedback-loop merges.
-    pub fn add_merge(&mut self, module: &Module, info: &MergeInfo, sites: &CallSiteIndex) {
-        for side in [info.f1, info.f2] {
-            assert!(
-                !self.merged.contains(&side),
-                "batch contract: side {side} is a merged function produced by this batch"
-            );
-            assert!(
-                !self.retired.contains(&side),
-                "batch contract: side {side} already planned by this batch"
-            );
-        }
-        assert!(
-            !self.merged.contains(&info.merged),
-            "batch contract: merged function {} planned twice",
-            info.merged
-        );
-        self.merged.push(info.merged);
-        for (func, first) in [(info.f1, true), (info.f2, false)] {
-            let rw = CallRewrite::for_side(module, info, first);
-            let (disposition, index_callers) = if can_delete(module, func) {
-                // Callers in module order: the index's committed view,
-                // minus the function itself (a serial scan skips it) and
-                // anything this batch already retired.
-                let callers: Vec<FuncId> = sites
-                    .callers_of(func)
-                    .into_iter()
-                    .filter(|&g| g != func && !self.retired.contains(&g) && module.is_live(g))
-                    .collect();
-                (Disposition::Deleted, callers)
-            } else {
-                // Keep the symbol; external callers keep its signature.
-                (Disposition::Thunk, Vec::new())
-            };
-            self.sides.push(PlannedSide { func, rw, disposition, index_callers });
-            self.retired.insert(func);
-        }
-    }
-
-    /// Number of merges added to the batch so far.
-    pub fn merges(&self) -> usize {
-        self.sides.len() / 2
-    }
-
-    /// Sides retired by the batch so far (both originals of every added
-    /// merge). The pipeline's batch-eligibility rules consult this: a
-    /// merge whose callers or merged-body callees intersect the retired
-    /// set would interact with a pending rewrite and must flush first.
-    pub fn retired(&self) -> &HashSet<FuncId> {
-        &self.retired
-    }
-
-    /// Merged functions of the batch, in add order.
-    pub fn merged_funcs(&self) -> &[FuncId] {
-        &self.merged
-    }
-
-    /// Executes the batch: assembles the caller partitions (including the
-    /// batch's merged functions, scanned once each), pre-interns the cast
-    /// container types in serial commit order, runs every partition on
-    /// `pool` (or inline, without a pool / on a single-thread pool), and
-    /// finally removes the deletable originals. Returns one
-    /// [`CommitResult`] per added merge, in add order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cast construction failures (programming errors guarded
-    /// by tests); like a failed serial commit, the module may be left
-    /// partially rewritten.
-    pub fn execute(
-        self,
-        module: &mut Module,
-        pool: Option<&ThreadPool>,
-    ) -> Result<Vec<CommitResult>, MergeError> {
-        // One body scan per batch merged function, shared by every side.
-        let merged_outs: Vec<(FuncId, HashMap<FuncId, usize>)> =
-            self.merged.iter().map(|&m| (m, outgoing_calls(module.func(m)))).collect();
-        let mut tasks: HashMap<FuncId, Vec<RewriteTask>> = HashMap::new();
-        let mut side_touched: Vec<Vec<FuncId>> = Vec::with_capacity(self.sides.len());
-        for side in &self.sides {
-            match side.disposition {
-                Disposition::Deleted => {
-                    let mut callers: BTreeSet<FuncId> =
-                        side.index_callers.iter().copied().collect();
-                    callers.extend(
-                        merged_outs
-                            .iter()
-                            .filter(|(_, outs)| outs.contains_key(&side.func))
-                            .map(|&(m, _)| m),
-                    );
-                    if !callers.is_empty() {
-                        prepare_side_casts(&mut module.types, &side.rw)?;
-                    }
-                    for &g in &callers {
-                        tasks
-                            .entry(g)
-                            .or_default()
-                            .push(RewriteTask::Calls { from: side.func, rw: side.rw.clone() });
-                    }
-                    side_touched.push(callers.into_iter().collect());
-                }
-                Disposition::Thunk => {
-                    prepare_side_casts(&mut module.types, &side.rw)?;
-                    tasks
-                        .entry(side.func)
-                        .or_default()
-                        .push(RewriteTask::Thunk { rw: side.rw.clone() });
-                    side_touched.push(Vec::new());
-                }
-            }
-        }
-        let mut order: Vec<FuncId> = tasks.keys().copied().collect();
-        order.sort_unstable();
-        let task_lists: Vec<Vec<RewriteTask>> =
-            order.iter().map(|g| tasks.remove(g).expect("planned partition")).collect();
-        let results: Vec<Result<(), MergeError>> =
-            module.with_detached_functions(&order, |types, funcs| match pool {
-                Some(pool) if pool.current_num_threads() > 1 && funcs.len() > 1 => {
-                    let mut results: Vec<Result<(), MergeError>> = Vec::new();
-                    results.resize_with(funcs.len(), || Ok(()));
-                    pool.scope(|s| {
-                        for ((f, tasks), slot) in
-                            funcs.iter_mut().zip(&task_lists).zip(results.iter_mut())
-                        {
-                            s.spawn(move |_| *slot = run_partition(f, types, tasks));
-                        }
-                    });
-                    results
-                }
-                _ => funcs
-                    .iter_mut()
-                    .zip(&task_lists)
-                    .map(|(f, tasks)| run_partition(f, types, tasks))
-                    .collect(),
-            });
-        for r in results {
-            r?;
-        }
-        let mut out = Vec::with_capacity(self.sides.len() / 2);
-        for (pair, pair_touched) in self.sides.chunks(2).zip(side_touched.chunks(2)) {
-            let mut touched: Vec<FuncId> = Vec::new();
-            let mut disp = [Disposition::Thunk; 2];
-            for (k, side) in pair.iter().enumerate() {
-                disp[k] = side.disposition;
-                touched.extend(&pair_touched[k]);
-                if side.disposition == Disposition::Deleted {
-                    module.remove_function(side.func);
-                }
-            }
-            touched.sort();
-            touched.dedup();
-            out.push(CommitResult { first: disp[0], second: disp[1], touched });
-        }
-        Ok(out)
-    }
-}
-
-/// Runs one caller partition: its rewrite tasks, in batch order, against
+/// Runs one caller partition: its rewrite tasks, in side order, against
 /// the detached function. Only `f` is mutated; `types` is read-only.
 fn run_partition(
     f: &mut Function,
@@ -571,53 +436,6 @@ fn run_partition(
         }
     }
     Ok(())
-}
-
-/// Pre-interns, at merge-decision time, the cast container types the
-/// serial commit of `info` would intern right now — so a *deferred*
-/// (batched) commit leaves the type store evolving bit-identically to
-/// committing immediately. Only thunk sides intern here: the pipeline's
-/// batch-eligibility rules guarantee every deletable side has zero
-/// callers, and a caller-less deleted side interns nothing serially
-/// either. When the batch flushes, [`RewritePlan::execute`] re-runs the
-/// same preparation, which the type store's interning dedupe turns into
-/// a no-op.
-///
-/// # Errors
-///
-/// Propagates cast construction failures.
-pub(crate) fn prepare_commit_casts(
-    module: &mut Module,
-    info: &MergeInfo,
-) -> Result<(), MergeError> {
-    for (func, first) in [(info.f1, true), (info.f2, false)] {
-        if !can_delete(module, func) {
-            let rw = CallRewrite::for_side(module, info, first);
-            prepare_side_casts(&mut module.types, &rw)?;
-        }
-    }
-    Ok(())
-}
-
-/// [`commit_merge`] through a single-merge [`RewritePlan`]: identical
-/// output, but the per-caller rewrite partitions execute on `pool` (pass
-/// `None` to run them inline). The pipeline's commit stage uses this so
-/// the last serial per-merge loop — call-site rewriting and thunking —
-/// scales with the worker pool.
-///
-/// # Errors
-///
-/// See [`commit_merge`].
-pub fn commit_merge_partitioned(
-    module: &mut Module,
-    info: &MergeInfo,
-    sites: &CallSiteIndex,
-    pool: Option<&ThreadPool>,
-) -> Result<CommitResult, MergeError> {
-    let mut plan = RewritePlan::new();
-    plan.add_merge(module, info, sites);
-    let mut results = plan.execute(module, pool)?;
-    Ok(results.pop().expect("exactly one merge planned"))
 }
 
 #[cfg(test)]
@@ -716,22 +534,6 @@ mod tests {
             );
             assert!(fmsa_ir::verify_module(&part_m).is_empty());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "merged function produced by this batch")]
-    fn batch_rejects_feedback_loop_merges() {
-        // A merged function of the batch cannot be a side of a later
-        // merge in the same batch: its incoming calls only exist after
-        // earlier partitions ran, so they cannot be planned statically.
-        let (mut m, ta, tb, _) = pair_with_caller();
-        let sites = crate::callsites::CallSiteIndex::build(&m);
-        let info1 = merge_pair(&mut m, ta, tb, &MergeConfig::default()).expect("merges");
-        let mut info2 = info1.clone();
-        info2.f1 = info1.merged; // feedback-loop shape
-        let mut plan = RewritePlan::new();
-        plan.add_merge(&m, &info1, &sites);
-        plan.add_merge(&m, &info2, &sites);
     }
 
     #[test]

@@ -214,21 +214,31 @@ proptest! {
 
 /// A recovered (possibly truncated) store must accept new appends and
 /// serve them after another reopen — recovery truncates the corrupt
-/// tail rather than appending into its shadow.
+/// tail rather than appending into its shadow. A log under the retired
+/// `fmsa-store v1` header takes the unrecognized-header path: it opens
+/// without a panic, recovers nothing, and is rewritten as v2.
 #[test]
 fn recovered_store_is_appendable() {
     let raw = fixture();
-    for cut in [raw.len() / 3, raw.len() / 2, raw.len() - 7] {
+    let v1_headed = [b"fmsa-store v1\n", &raw[b"fmsa-store v2\n".len()..]].concat();
+    let inputs = [
+        ("cut 1/3", &raw[..raw.len() / 3]),
+        ("cut 1/2", &raw[..raw.len() / 2]),
+        ("cut tail", &raw[..raw.len() - 7]),
+        ("v1 header", &v1_headed[..]),
+    ];
+    for (ctx, input) in inputs {
+        check_recovery(input, ctx).unwrap();
         let dir = temp_dir("append");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(STORE_FILE), &raw[..cut]).unwrap();
+        std::fs::write(dir.join(STORE_FILE), input).unwrap();
         let mut store = FunctionStore::open(&dir).unwrap();
         let recovered = store.len();
         store.ingest_module(&module_with(&[("late", 123)])).unwrap();
         drop(store);
         let store = FunctionStore::open(&dir).unwrap();
-        assert_eq!(store.recovery().skipped_records, 0, "cut {cut}: reopened log is clean");
-        assert!(store.len() > recovered, "cut {cut}: appended entry must survive");
+        assert_eq!(store.recovery().skipped_records, 0, "{ctx}: reopened log is clean");
+        assert!(store.len() > recovered, "{ctx}: appended entry must survive");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

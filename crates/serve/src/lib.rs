@@ -824,7 +824,6 @@ fn stats_json(ctx: &Ctx) -> String {
                         ("seen_records", Json::i(recovery.seen_records as i128)),
                         ("skipped_records", Json::i(recovery.skipped_records as i128)),
                         ("bytes_dropped", Json::i(recovery.bytes_dropped as i128)),
-                        ("from_v1", Json::b(recovery.from_v1)),
                     ]),
                 ),
             ]),

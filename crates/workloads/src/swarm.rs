@@ -173,9 +173,9 @@ pub fn stream_chunks(total: usize, chunk: usize, seed: u64) -> impl Iterator<Ite
 }
 
 /// Families of near-clones with cross-calls and mixed linkage: deletable
-/// sides with live callers and thunked (external) sides force the
-/// batched commit's conflict fallback, while caller-less families
-/// exercise the deferred path — both in one module. `families ×
+/// sides with live callers, thunked (external) sides and caller-less
+/// families, all in one module, so commits exercise caller rewrites and
+/// thunks together. `families ×
 /// members` functions `fam{f}_m{k}`, each a chain of adds and muls,
 /// about 40 % of them calling a random member, 20 % externally linked.
 pub fn calling_swarm(seed: u64, families: usize, members: usize) -> Module {

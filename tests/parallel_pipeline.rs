@@ -64,13 +64,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// Batched generation commits are decision-invisible: with
-    /// cross-calls and mixed linkage driving both the deferred path and
-    /// the conflict fallback, any thread count produces the sequential
-    /// driver's exact module text, and every merge is accounted to
-    /// exactly one of the two commit paths.
+    /// Commits are decision-invisible: with cross-calls and mixed
+    /// linkage driving caller rewrites, thunks and merged bodies that
+    /// call their own originals, any thread count produces the
+    /// sequential driver's exact module text, and every merge commits
+    /// through exactly one barrier.
     #[test]
-    fn batched_commits_are_bit_identical_to_sequential(
+    fn calling_swarm_commits_are_bit_identical_to_sequential(
         seed in 0u64..10_000,
         families in 3usize..8,
         members in 2usize..4,
@@ -85,15 +85,14 @@ proptest! {
         prop_assert_eq!(print_module(&m_seq), print_module(&m_par));
         prop_assert_eq!(seq.merges, par.merges);
         let p = par.pipeline.expect("pipeline stats");
-        prop_assert_eq!(p.batched_merges + p.batch_fallback, par.merges);
+        prop_assert_eq!(p.commit_barriers, par.merges);
     }
 }
 
-/// Pinned: overlapping caller partitions must take the fallback path
-/// (flush + immediate single-merge plan), caller-less merges must defer,
-/// and both must reproduce the serial text at 1/2/4/8 threads. The two
-/// counters are also thread-invariant — the commit decision procedure
-/// never depends on the worker count.
+/// Pinned: overlapping caller partitions and caller-less merges alike
+/// reproduce the serial text at 1/2/4/8 threads, and the barrier count
+/// is thread-invariant — the commit decision procedure never depends on
+/// the worker count.
 #[test]
 fn caller_overlap_falls_back_and_matches_serial() {
     let base = calling_swarm(0x0ba7_c4ed, 6, 3);
@@ -101,27 +100,19 @@ fn caller_overlap_falls_back_and_matches_serial() {
     let seq = run_fmsa(&mut m_seq, &Config::new().threshold(5));
     assert!(seq.merges > 3, "workload must merge: {}", seq.merges);
     let seq_text = print_module(&m_seq);
-    let mut counters: Option<(usize, usize)> = None;
+    let mut barriers: Option<usize> = None;
     for threads in [1usize, 2, 4, 8] {
         let cfg = Config::new().threshold(5).parallel(threads);
         let mut m_par = base.clone();
         let par = run_fmsa_pipeline(&mut m_par, &cfg);
         assert_eq!(seq_text, print_module(&m_par), "module text at {threads} threads");
         let p = par.pipeline.expect("pipeline stats");
-        assert_eq!(p.batched_merges + p.batch_fallback, par.merges, "{p:?}");
-        match counters {
-            None => counters = Some((p.batched_merges, p.batch_fallback)),
-            Some(c) => assert_eq!(
-                c,
-                (p.batched_merges, p.batch_fallback),
-                "commit-path split diverged at {threads} threads"
-            ),
+        match barriers {
+            None => barriers = Some(p.commit_barriers),
+            Some(b) => assert_eq!(b, p.commit_barriers, "barriers diverged at {threads} threads"),
         }
         assert!(fmsa::ir::verify_module(&m_par).is_empty());
     }
-    let (batched, fallback) = counters.expect("ran");
-    assert!(fallback > 0, "cross-calls must force the conflict fallback");
-    assert!(batched > 0, "caller-less merges must defer");
 }
 
 /// The decision log is thread-invariant: every attempt's record (pair,

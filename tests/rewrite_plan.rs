@@ -1,14 +1,13 @@
 //! Cross-crate tests of the partitioned call-site rewrite
-//! (`fmsa_core::thunks::RewritePlan`): for caller-heavy modules with
-//! thunked sides, mixed return types (call-site cast chains), shared
-//! callers, and merged bodies that are themselves callers, the
-//! partitioned execution must produce output identical to the serial
-//! `commit_merge` loop at 1/2/4/8 worker threads — both one merge at a
-//! time (the pipeline's configuration) and as a multi-merge batch.
+//! (`fmsa_core::thunks::commit_merge_partitioned`): for caller-heavy
+//! modules with thunked sides, mixed return types (call-site cast
+//! chains), shared callers, and merged bodies that are themselves
+//! callers, the partitioned execution must produce output identical to
+//! the serial `commit_merge` at 1–8 worker threads.
 
 use fmsa::core::callsites::CallSiteIndex;
 use fmsa::core::merge::{merge_pair, MergeConfig};
-use fmsa::core::thunks::{commit_merge, commit_merge_partitioned, CommitResult, RewritePlan};
+use fmsa::core::thunks::{commit_merge, commit_merge_partitioned, CommitResult};
 use fmsa::ir::printer::print_module;
 use fmsa::ir::{FuncBuilder, FuncId, Linkage, Module, Opcode, Value};
 use proptest::prelude::*;
@@ -22,12 +21,14 @@ use rand::{Rng, SeedableRng};
 /// With `cross_calls`, the first member of a family may call its merge
 /// partner (the merged body then carries rewritable call sites of the
 /// second side) or a neighbouring family's first member (merge sides that
-/// are themselves touched callers).
+/// are themselves touched callers). With `self_calls`, every member calls
+/// itself, so each merged body calls both of its own originals.
 fn caller_heavy_module(
     seed: u64,
     families: usize,
     callers: usize,
     cross_calls: bool,
+    self_calls: bool,
 ) -> (Module, Vec<(FuncId, FuncId)>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut m = Module::new("rewrite-plan");
@@ -65,6 +66,11 @@ fn caller_heavy_module(
             for j in 0..8i32 {
                 v = b.mul(v, b.const_i32(j + 2));
                 v = b.xor(v, b.const_i32(xor_const + k as i32));
+            }
+            if self_calls {
+                let r = b.call(f, vec![v]);
+                let r = if wide { b.cast(Opcode::Trunc, r, i32t) } else { r };
+                v = b.xor(v, r);
             }
             if cross_calls && side == 0 {
                 if rng.gen_bool(0.4) {
@@ -120,8 +126,9 @@ proptest! {
     fn partitioned_rewrite_matches_serial_commit(
         seed in 0u64..10_000,
         threads in 1usize..9,
+        self_calls in 0u8..2,
     ) {
-        let (base, pairs) = caller_heavy_module(seed, 4, 6, true);
+        let (base, pairs) = caller_heavy_module(seed, 4, 6, true, self_calls == 1);
         let config = MergeConfig::default();
         let mut serial = base.clone();
         let mut serial_results: Vec<CommitResult> = Vec::new();
@@ -146,111 +153,4 @@ proptest! {
         prop_assert_eq!(print_module(&serial), print_module(&part));
         prop_assert!(fmsa::ir::verify_module(&part).is_empty());
     }
-}
-
-/// A multi-merge batch: merges planned into one [`RewritePlan`] and
-/// executed in a single partitioned wave must match the batch's serial
-/// reference — build every merged function first, then `commit_merge`
-/// each in add order. Cross-calling families are included, so batches
-/// cover callers shared by several merges (partitions serialize their
-/// rewrites), merge sides rewritten by earlier commits, and merged
-/// bodies calling another merge's deletable side.
-#[test]
-fn batched_plan_matches_serial_commit_order() {
-    for (seed, threads) in [(11u64, 1usize), (12, 2), (13, 4), (14, 8)] {
-        let (base, pairs) = caller_heavy_module(seed, 3, 8, true);
-        let config = MergeConfig::default();
-        // Serial reference: merge all pairs, then commit in add order.
-        let mut serial = base.clone();
-        let serial_infos: Vec<_> = pairs
-            .iter()
-            .filter_map(|&(a, b)| merge_pair(&mut serial, a, b, &config).ok())
-            .collect();
-        let serial_results: Vec<CommitResult> = serial_infos
-            .iter()
-            .map(|info| commit_merge(&mut serial, info).expect("serial commit"))
-            .collect();
-        let mut part = base.clone();
-        let sites = CallSiteIndex::build(&part);
-        let infos: Vec<_> =
-            pairs.iter().filter_map(|&(a, b)| merge_pair(&mut part, a, b, &config).ok()).collect();
-        let mut plan = RewritePlan::new();
-        for info in &infos {
-            plan.add_merge(&part, info, &sites);
-        }
-        assert_eq!(plan.merges(), infos.len());
-        assert!(plan.merges() > 0, "seed {seed} produced no merges");
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-        let results = plan.execute(&mut part, Some(&pool)).expect("execute");
-        assert_eq!(serial_results, results, "commit results at {threads} threads");
-        assert!(results.iter().any(|r| !r.touched.is_empty()), "seed {seed} produced no rewrites");
-        assert_eq!(
-            print_module(&serial),
-            print_module(&part),
-            "module text at {threads} threads (seed {seed})"
-        );
-        assert!(fmsa::ir::verify_module(&part).is_empty());
-    }
-}
-
-/// The reviewer-surfaced interaction shape, pinned deterministically: a
-/// later-added merge's merged body calls an earlier-added merge's
-/// deletable side (its own side called it before merging). The batch
-/// must rewrite inside that merged body before the side is deleted.
-#[test]
-fn batch_rewrites_later_merged_bodies_calling_earlier_sides() {
-    let mut m = Module::new("interacting");
-    let i32t = m.types.i32();
-    let fn_ty = m.types.func(i32t, vec![i32t]);
-    // Merge 1: (f1, f2), both internal — f1 will be deleted.
-    // Merge 2: (g, h) where g calls f1, so merged2's body calls f1.
-    let mut build = |name: &str, c: i32, callee: Option<FuncId>| {
-        let f = m.create_function(name, fn_ty);
-        let mut b = FuncBuilder::new(&mut m, f);
-        let e = b.block("entry");
-        b.switch_to(e);
-        let mut v = Value::Param(0);
-        for j in 0..8i32 {
-            v = b.mul(v, b.const_i32(j + 2));
-            v = b.xor(v, b.const_i32(c));
-        }
-        if let Some(t) = callee {
-            let r = b.call(t, vec![v]);
-            v = b.xor(v, r);
-        }
-        b.ret(Some(v));
-        f
-    };
-    let f1 = build("f1", 3, None);
-    let f2 = build("f2", 5, None);
-    let g = build("g", 7, Some(f1));
-    let h = build("h", 9, Some(f1));
-    let config = MergeConfig::default();
-    let mut serial = m.clone();
-    let infos_s = [
-        merge_pair(&mut serial, f1, f2, &config).expect("merge1"),
-        merge_pair(&mut serial, g, h, &config).expect("merge2"),
-    ];
-    let serial_results: Vec<CommitResult> =
-        infos_s.iter().map(|i| commit_merge(&mut serial, i).expect("commit")).collect();
-    let mut part = m.clone();
-    let sites = CallSiteIndex::build(&part);
-    let infos = [
-        merge_pair(&mut part, f1, f2, &config).expect("merge1"),
-        merge_pair(&mut part, g, h, &config).expect("merge2"),
-    ];
-    let merged2 = infos[1].merged;
-    let mut plan = RewritePlan::new();
-    for info in &infos {
-        plan.add_merge(&part, info, &sites);
-    }
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
-    let results = plan.execute(&mut part, Some(&pool)).expect("execute");
-    assert_eq!(serial_results, results);
-    assert!(
-        results[0].touched.contains(&merged2),
-        "merge2's body calls f1 and must be rewritten by merge1's side: {results:?}"
-    );
-    assert_eq!(print_module(&serial), print_module(&part));
-    assert!(fmsa::ir::verify_module(&part).is_empty(), "{:?}", fmsa::ir::verify_module(&part));
 }
