@@ -4,9 +4,9 @@
 //! (Rocha et al., CGO 2019, §III-C). The paper aligns two *linearized
 //! functions* with the Needleman-Wunsch algorithm under "a standard scoring
 //! scheme that rewards matches and equally penalizes mismatches and gaps";
-//! this crate provides that algorithm plus two alternatives the paper
-//! mentions as trade-offs: Hirschberg's linear-space variant and
-//! Smith-Waterman local alignment.
+//! this crate provides that algorithm plus the two budget fallbacks the
+//! merger uses on long functions: a banded variant and Hirschberg's
+//! linear-space variant.
 //!
 //! The crate is IR-agnostic: alignment works over any element type with a
 //! caller-supplied equivalence relation.
@@ -30,13 +30,11 @@
 mod banded;
 mod budget;
 mod hirschberg;
-mod local;
 mod nw;
 
 pub use banded::banded_needleman_wunsch;
 pub use budget::{align_with_plan, AlignPlan, AlignmentBudget, BudgetFallback};
 pub use hirschberg::hirschberg;
-pub use local::{smith_waterman, LocalAlignment};
 pub use nw::needleman_wunsch;
 
 /// Weights for the alignment dynamic program.

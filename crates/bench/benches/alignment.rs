@@ -2,7 +2,7 @@
 //! component that dominates FMSA's compile time (paper Fig. 13).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fmsa_align::{hirschberg, needleman_wunsch, smith_waterman, ScoringScheme};
+use fmsa_align::{hirschberg, needleman_wunsch, ScoringScheme};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,9 +22,6 @@ fn bench_alignment(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("hirschberg", len), &len, |bch, _| {
             bch.iter(|| hirschberg(&a, &b, |x, y| x == y, &scheme));
-        });
-        group.bench_with_input(BenchmarkId::new("smith-waterman", len), &len, |bch, _| {
-            bch.iter(|| smith_waterman(&a, &b, |x, y| x == y, &scheme));
         });
     }
     group.finish();

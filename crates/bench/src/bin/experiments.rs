@@ -49,15 +49,17 @@
 
 use fmsa::Config;
 use fmsa_bench::harness::{
-    mean, pipeline_json_fields, rank_cdf, run_benchmark, run_runtime_experiment, BenchResult, Json,
-    Report, RunPlan,
+    mean, pipeline_json_fields, rank_cdf, run_benchmark, run_runtime_experiment, thread_sweep,
+    BenchResult, Json, Report, RunPlan, Table,
 };
 use fmsa_core::baselines::run_identical;
 use fmsa_core::merge::MergeConfig;
-use fmsa_core::pass::run_fmsa;
-use fmsa_core::pipeline::run_fmsa_pipeline;
+use fmsa_core::pass::{run_fmsa, FmsaStats};
+use fmsa_core::pipeline::{run_fmsa_pipeline, PipelineStats};
 use fmsa_target::{reduction_percent, CostModel, TargetArch};
 use fmsa_workloads::{mibench_suite, spec_suite, BenchDesc};
+use std::fmt::Display;
+use std::time::Duration;
 
 /// Relative drift allowed between an optimized configuration and its
 /// exact/sequential baseline before the CI gate trips.
@@ -184,6 +186,15 @@ fn filtered(suite: Vec<BenchDesc>, fast: bool) -> Vec<BenchDesc> {
     suite.into_iter().filter(|d| d.paper_fns <= 600).collect()
 }
 
+/// The `identical` cell of the sweep tables.
+fn yes_no(ok: bool) -> &'static str {
+    if ok {
+        "yes"
+    } else {
+        "NO"
+    }
+}
+
 fn run_suite(suite: &[BenchDesc], plan: &RunPlan) -> Vec<BenchResult> {
     suite
         .iter()
@@ -198,9 +209,8 @@ fn run_suite(suite: &[BenchDesc], plan: &RunPlan) -> Vec<BenchResult> {
 
 fn table(suite: &[BenchDesc], title: &str) {
     println!("\n== {title}: functions, sizes, and merge operations ==");
-    println!(
-        "{:<16} {:>6} {:>18} {:>9} {:>6} {:>9} {:>10}",
-        "benchmark", "#fns", "min/avg/max", "identical", "soa", "fmsa[t=1]", "fmsa[t=10]"
+    let table = Table::new(
+        "benchmark:<16|#fns:6|min/avg/max:18|identical:9|soa:6|fmsa[t=1]:9|fmsa[t=10]:10",
     );
     let plan = RunPlan { thresholds: vec![1, 10], oracle: false, ..RunPlan::default() };
     for desc in suite {
@@ -208,16 +218,8 @@ fn table(suite: &[BenchDesc], title: &str) {
         let (mn, avg, mx) = r.sizes;
         let t1 = r.fmsa.iter().find(|(t, _)| *t == 1).map(|(_, x)| x.merges).unwrap_or(0);
         let t10 = r.fmsa.iter().find(|(t, _)| *t == 10).map(|(_, x)| x.merges).unwrap_or(0);
-        println!(
-            "{:<16} {:>6} {:>18} {:>9} {:>6} {:>9} {:>10}",
-            r.name,
-            r.fns,
-            format!("{mn}/{avg:.0}/{mx}"),
-            r.identical.merges,
-            r.soa.merges,
-            t1,
-            t10
-        );
+        let sizes = format!("{mn}/{avg:.0}/{mx}");
+        table.row(&[&r.name, &r.fns, &sizes, &r.identical.merges, &r.soa.merges, &t1, &t10]);
     }
     println!("(function counts are paper counts / {}; see EXPERIMENTS.md)", fmsa_workloads::SCALE);
 }
@@ -235,9 +237,9 @@ fn fig8(suite: &[BenchDesc]) {
         }
     }
     let cdf = rank_cdf(&positions, 10);
-    println!("{:>9} {:>12}", "position", "coverage(%)");
+    let table = Table::new("position:9|coverage(%):12");
     for (k, c) in cdf.iter().enumerate() {
-        println!("{:>9} {:>12.1}", k + 1, c * 100.0);
+        table.row(&[&(k + 1), &format!("{:.1}", c * 100.0)]);
     }
     println!(
         "(paper: ~89% at position 1, >98% within the top 5; measured: {:.0}% / {:.0}%)",
@@ -249,16 +251,12 @@ fn fig8(suite: &[BenchDesc]) {
 // ---------------------------------------------------------------- fig 10/11
 
 fn reduction_table(results: &[BenchResult], oracle: bool) {
-    println!(
-        "{:<16} {:>9} {:>7} {:>9} {:>9} {:>10}{}",
-        "benchmark",
-        "identical",
-        "soa",
-        "fmsa[t=1]",
-        "fmsa[t=5]",
-        "fmsa[t=10]",
-        if oracle { "   oracle" } else { "" }
-    );
+    // Without `--oracle` the spec has no sixth column and `row` drops
+    // the oracle cell.
+    let table = Table::new(&format!(
+        "benchmark:<16|identical:9|soa:7|fmsa[t=1]:9|fmsa[t=5]:9|fmsa[t=10]:10{}",
+        if oracle { "|oracle:8" } else { "" }
+    ));
     let pick = |r: &BenchResult, t: usize| {
         r.fmsa.iter().find(|(x, _)| *x == t).map(|(_, v)| v.reduction).unwrap_or(0.0)
     };
@@ -277,32 +275,21 @@ fn reduction_table(results: &[BenchResult], oracle: bool) {
                 c.push(v);
             }
         }
-        print!(
-            "{:<16} {:>9.2} {:>7.2} {:>9.2} {:>9.2} {:>10.2}",
-            r.name, row[0], row[1], row[2], row[3], row[4]
-        );
-        if oracle {
-            if row[5].is_nan() {
-                print!("  (skipped)");
-            } else {
-                print!(" {:>8.2}", row[5]);
-            }
-        }
-        println!();
+        float_row(&table, &r.name, &row, 2);
     }
-    print!(
-        "{:<16} {:>9.2} {:>7.2} {:>9.2} {:>9.2} {:>10.2}",
-        "MEAN",
-        mean(&cols[0]),
-        mean(&cols[1]),
-        mean(&cols[2]),
-        mean(&cols[3]),
-        mean(&cols[4])
-    );
-    if oracle {
-        print!(" {:>8.2}", mean(&cols[5]));
-    }
-    println!();
+    float_row(&table, "MEAN", &cols.iter().map(|c| mean(c)).collect::<Vec<_>>(), 2);
+}
+
+/// Prints `name` followed by `vals` at `prec` decimals, `NaN` as
+/// `(skipped)`.
+fn float_row(table: &Table, name: &str, vals: &[f64], prec: usize) {
+    let cells: Vec<String> = vals
+        .iter()
+        .map(|v| if v.is_nan() { "(skipped)".to_owned() } else { format!("{v:.prec$}") })
+        .collect();
+    let mut row: Vec<&dyn Display> = vec![&name];
+    row.extend(cells.iter().map(|c| c as &dyn Display));
+    table.row(&row);
 }
 
 fn fig10(suite: &[BenchDesc], oracle: bool) {
@@ -327,10 +314,8 @@ fn fig11(suite: &[BenchDesc], oracle: bool) {
 
 fn fig12(suite: &[BenchDesc]) {
     println!("\n== Fig. 12: compilation-time overhead, normalized to no-merging baseline ==");
-    println!(
-        "{:<16} {:>10} {:>8} {:>10} {:>10} {:>11}",
-        "benchmark", "identical", "soa", "fmsa[t=1]", "fmsa[t=5]", "fmsa[t=10]"
-    );
+    let table =
+        Table::new("benchmark:<16|identical:10|soa:8|fmsa[t=1]:10|fmsa[t=5]:10|fmsa[t=10]:11");
     let plan = RunPlan { thresholds: vec![1, 5, 10], oracle: false, ..RunPlan::default() };
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 5];
     for desc in suite {
@@ -344,20 +329,9 @@ fn fig12(suite: &[BenchDesc]) {
         for (c, v) in cols.iter_mut().zip(row) {
             c.push(v);
         }
-        println!(
-            "{:<16} {:>10.2} {:>8.2} {:>10.2} {:>10.2} {:>11.2}",
-            r.name, row[0], row[1], row[2], row[3], row[4]
-        );
+        float_row(&table, &r.name, &row, 2);
     }
-    println!(
-        "{:<16} {:>10.2} {:>8.2} {:>10.2} {:>10.2} {:>11.2}",
-        "MEAN",
-        mean(&cols[0]),
-        mean(&cols[1]),
-        mean(&cols[2]),
-        mean(&cols[3]),
-        mean(&cols[4])
-    );
+    float_row(&table, "MEAN", &cols.iter().map(|c| mean(c)).collect::<Vec<_>>(), 2);
     println!("(paper means: 1.0 / 1.0 / 1.15 / 1.47 / 1.74; oracle ≈ 25x, not shown)");
 }
 
@@ -365,10 +339,8 @@ fn fig12(suite: &[BenchDesc]) {
 
 fn fig13(suite: &[BenchDesc]) {
     println!("\n== Fig. 13: compile-time breakdown of FMSA (t=1), % of pass time ==");
-    println!(
-        "{:<16} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "benchmark", "fingerp", "ranking", "linear", "align", "codegen", "updates"
-    );
+    let table =
+        Table::new("benchmark:<16|fingerp:8|ranking:8|linear:8|align:8|codegen:8|updates:8");
     let plan = RunPlan { thresholds: vec![1], oracle: false, ..RunPlan::default() };
     let mut sums = [0.0f64; 6];
     for desc in suite {
@@ -380,22 +352,10 @@ fn fig13(suite: &[BenchDesc]) {
         for (s, p) in sums.iter_mut().zip(&pct) {
             *s += p;
         }
-        println!(
-            "{:<16} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
-            r.name, pct[0], pct[1], pct[2], pct[3], pct[4], pct[5]
-        );
+        float_row(&table, &r.name, &pct, 1);
     }
     let n = suite.len().max(1) as f64;
-    println!(
-        "{:<16} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
-        "MEAN",
-        sums[0] / n,
-        sums[1] / n,
-        sums[2] / n,
-        sums[3] / n,
-        sums[4] / n,
-        sums[5] / n
-    );
+    float_row(&table, "MEAN", &sums.map(|s| s / n), 1);
     println!("(paper: alignment dominates, then ranking, then code generation)");
 }
 
@@ -403,32 +363,28 @@ fn fig13(suite: &[BenchDesc]) {
 
 fn fig14(suite: &[BenchDesc]) {
     println!("\n== Fig. 14: runtime overhead (normalized dynamic instructions, t=1) ==");
-    println!(
-        "{:<16} {:>9} {:>14} {:>12} {:>14}",
-        "benchmark", "fmsa", "hot-excluded", "reduction%", "red% (excl)"
-    );
+    let table = Table::new("benchmark:<16|fmsa:9|hot-excluded:14|reduction%:12|red% (excl):14");
     let mut norms = Vec::new();
     let mut norms_excl = Vec::new();
     for desc in suite {
         // Interpreting the biggest modules is slow; Fig. 14's point is made
         // by the bulk of the suite.
         if desc.paper_fns > 3000 {
-            println!("{:<16} {:>9}", desc.name, "(skipped: module too large to interpret)");
+            table.row(&[&desc.name, &"(skipped: module too large to interpret)"]);
             continue;
         }
         let r = run_runtime_experiment(desc, 1);
         norms.push(r.normalized());
         norms_excl.push(r.normalized_hot_excluded());
-        println!(
-            "{:<16} {:>9.3} {:>14.3} {:>12.2} {:>14.2}",
-            r.name,
-            r.normalized(),
-            r.normalized_hot_excluded(),
-            r.reduction,
-            r.reduction_hot_excluded
-        );
+        table.row(&[
+            &r.name,
+            &format!("{:.3}", r.normalized()),
+            &format!("{:.3}", r.normalized_hot_excluded()),
+            &format!("{:.2}", r.reduction),
+            &format!("{:.2}", r.reduction_hot_excluded),
+        ]);
     }
-    println!("{:<16} {:>9.3} {:>14.3}", "MEAN", mean(&norms), mean(&norms_excl));
+    float_row(&table, "MEAN", &[mean(&norms), mean(&norms_excl)], 3);
     println!("(paper: ≈1.03 mean; hot-function exclusion removes the overhead, §V-D)");
 }
 
@@ -438,10 +394,8 @@ fn search_scalability(fast: bool, report: &mut Report) {
     use fmsa_core::SearchStrategy;
     use fmsa_workloads::{clone_swarm_module, SwarmConfig};
     println!("\n== Candidate search at scale: exact pairwise vs MinHash/LSH (t=5) ==");
-    println!(
-        "{:>6} {:<7} {:>8} {:>12} {:>12} {:>12} {:>9}",
-        "#fns", "search", "merges", "reduction%", "rank+search", "total", "speedup"
-    );
+    let table =
+        Table::new("#fns:6|search:<7|merges:8|reduction%:12|rank+search:12|total:12|speedup:9");
     let sizes: &[usize] = if fast { &[100, 1000] } else { &[100, 1000, 5000] };
     for &n in sizes {
         let base = clone_swarm_module(&SwarmConfig::with_functions(n));
@@ -457,20 +411,19 @@ fn search_scalability(fast: bool, report: &mut Report) {
             rank_times.push(stats.timers.ranking.as_secs_f64());
             reductions.push(stats.reduction_percent());
             let speedup = if rank_times.len() == 2 {
-                format!("{:8.1}x", rank_times[0] / rank_times[1].max(1e-12))
+                format!("{:.1}x", rank_times[0] / rank_times[1].max(1e-12))
             } else {
                 String::new()
             };
-            println!(
-                "{:>6} {:<7} {:>8} {:>12.2} {:>12.2?} {:>12.2?} {:>9}",
-                n,
-                label,
-                stats.merges,
-                stats.reduction_percent(),
-                stats.timers.ranking,
-                total,
-                speedup
-            );
+            table.row(&[
+                &n,
+                &label,
+                &stats.merges,
+                &format!("{:.2}", stats.reduction_percent()),
+                &format!("{:.2?}", stats.timers.ranking),
+                &format!("{total:.2?}"),
+                &speedup,
+            ]);
             report.record(&[
                 ("experiment", Json::S("search".into())),
                 ("functions", Json::I(n as i64)),
@@ -486,12 +439,13 @@ fn search_scalability(fast: bool, report: &mut Report) {
         // CI gate: LSH shortlisting must stay within the reduction-parity
         // budget of the exact scan.
         let (exact, lsh) = (reductions[0], reductions[1]);
-        if (exact - lsh).abs() > PARITY_BUDGET * exact.abs().max(1e-9) {
-            report.fail(format!(
+        report.gate(
+            (exact - lsh).abs() <= PARITY_BUDGET * exact.abs().max(1e-9),
+            format!(
                 "search n={n}: LSH reduction {lsh:.3}% drifts >{:.0}% from exact {exact:.3}%",
                 PARITY_BUDGET * 100.0
-            ));
-        }
+            ),
+        );
     }
     println!("(rank+search = index seeding + per-iteration candidate queries)");
 }
@@ -504,9 +458,8 @@ fn merge_parallel(fast: bool, report: &mut Report) {
     use fmsa_workloads::{clone_swarm_module, SwarmConfig};
     let auto = Config::new().parallel(0).resolved_threads();
     println!("\n== Parallel merge pipeline vs sequential driver (t=5, lsh search) ==");
-    println!(
-        "{:>6} {:<11} {:>7} {:>10} {:>8} {:>11} {:>10} {:>8}",
-        "#fns", "driver", "threads", "wall", "merges", "reduction%", "identical", "speedup"
+    let table = Table::new(
+        "#fns:6|driver:<11|threads:7|wall:10|merges:8|reduction%:11|identical:10|speedup:8",
     );
     let sizes: &[usize] = if fast { &[100, 1000] } else { &[100, 1000, 5000] };
     for &n in sizes {
@@ -517,28 +470,31 @@ fn merge_parallel(fast: bool, report: &mut Report) {
         let seq = run_fmsa(&mut m_seq, &cfg);
         let t_seq = t0.elapsed();
         let seq_text = print_module(&m_seq);
-        println!(
-            "{:>6} {:<11} {:>7} {:>9.2?} {:>8} {:>11.2} {:>10} {:>8}",
-            n,
-            "sequential",
-            1,
-            t_seq,
-            seq.merges,
-            seq.reduction_percent(),
-            "-",
-            "-"
-        );
-        report.record(&[
-            ("experiment", Json::S("merge-parallel".into())),
-            ("functions", Json::I(n as i64)),
-            ("driver", Json::S("sequential".into())),
-            ("search", Json::S("lsh".into())),
-            ("alignment", Json::S("needleman-wunsch".into())),
-            ("threads", Json::I(1)),
-            ("merges", Json::I(seq.merges as i64)),
-            ("reduction_percent", Json::F(seq.reduction_percent())),
-            ("wall_s", Json::F(t_seq.as_secs_f64())),
+        // The record keys both drivers share, in order.
+        let record = |driver: &str, threads: usize, st: &FmsaStats, wall: Duration| {
+            vec![
+                ("experiment", Json::S("merge-parallel".into())),
+                ("functions", Json::I(n as i64)),
+                ("driver", Json::S(driver.into())),
+                ("search", Json::S("lsh".into())),
+                ("alignment", Json::S("needleman-wunsch".into())),
+                ("threads", Json::I(threads as i64)),
+                ("merges", Json::I(st.merges as i64)),
+                ("reduction_percent", Json::F(st.reduction_percent())),
+                ("wall_s", Json::F(wall.as_secs_f64())),
+            ]
+        };
+        table.row(&[
+            &n,
+            &"sequential",
+            &1,
+            &format!("{t_seq:.2?}"),
+            &seq.merges,
+            &format!("{:.2}", seq.reduction_percent()),
+            &"-",
+            &"-",
         ]);
+        report.record(&record("sequential", 1, &seq, t_seq));
         // threads=1 runs no prepare stage; threads=2 exercises the
         // parallel align + Δ gate and commit-time re-validation even on a
         // single core; threads=4 adds multi-partition parallel call-site
@@ -548,78 +504,69 @@ fn merge_parallel(fast: bool, report: &mut Report) {
         if auto > 4 {
             thread_counts.push(auto);
         }
-        for threads in thread_counts {
-            let mut m_par = base.clone();
-            let pcfg = cfg.clone().parallel(threads);
-            let t0 = std::time::Instant::now();
-            let par = run_fmsa_pipeline(&mut m_par, &pcfg);
-            let t_par = t0.elapsed();
-            let identical = print_module(&m_par) == seq_text;
-            let speedup = t_seq.as_secs_f64() / t_par.as_secs_f64().max(1e-9);
-            println!(
-                "{:>6} {:<11} {:>7} {:>9.2?} {:>8} {:>11.2} {:>10} {:>7.1}x",
-                n,
-                "pipeline",
-                threads,
-                t_par,
-                par.merges,
-                par.reduction_percent(),
-                if identical { "yes" } else { "NO" },
-                speedup
-            );
+        for run in thread_sweep(&base, &cfg, &thread_counts, |_| Some(seq_text.as_str())) {
+            let (threads, par) = (run.threads, &run.stats);
+            let speedup = t_seq.as_secs_f64() / run.wall.as_secs_f64().max(1e-9);
+            table.row(&[
+                &n,
+                &"pipeline",
+                &threads,
+                &format!("{:.2?}", run.wall),
+                &par.merges,
+                &format!("{:.2}", par.reduction_percent()),
+                &yes_no(run.identical),
+                &format!("{speedup:.1}x"),
+            ]);
             let p = par.pipeline.unwrap_or_default();
-            println!(
-                "       stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
-                 prepare {:.2?} (cpu {:.2?}), commit {:.2?} (codegen {:.2?}, rewrite {:.2?}); \
-                 commit barriers {}",
-                p.schedule,
-                p.schedule_query,
-                p.schedule_prefill,
-                p.schedule_cpu,
-                p.prepare,
-                p.prepare_cpu,
-                p.commit,
-                p.commit_codegen,
-                p.rewrite,
-                p.commit_barriers,
-            );
+            print_stages(&p);
             // Header pairs first, then the canonical PipelineStats field
             // list (shared with `scale --json` and `fmsa_opt --stats`).
             // `threads` is already in the header, so drop the duplicate.
-            let mut rec: Vec<(&str, Json)> = vec![
-                ("experiment", Json::S("merge-parallel".into())),
-                ("functions", Json::I(n as i64)),
-                ("driver", Json::S("pipeline".into())),
-                ("search", Json::S("lsh".into())),
-                ("alignment", Json::S("needleman-wunsch".into())),
-                ("threads", Json::I(threads as i64)),
-                ("merges", Json::I(par.merges as i64)),
-                ("reduction_percent", Json::F(par.reduction_percent())),
-                ("wall_s", Json::F(t_par.as_secs_f64())),
-                ("speedup_vs_sequential", Json::F(speedup)),
-                ("identical_to_sequential", Json::B(identical)),
-            ];
+            let mut rec = record("pipeline", threads, par, run.wall);
+            rec.push(("speedup_vs_sequential", Json::F(speedup)));
+            rec.push(("identical_to_sequential", Json::B(run.identical)));
             rec.extend(pipeline_json_fields(&p).into_iter().filter(|(k, _)| *k != "threads"));
             report.record(&rec);
-            if !identical {
-                report.fail(format!(
+            report.gate(
+                run.identical,
+                format!(
                     "merge-parallel n={n} threads={threads}: pipeline output diverges \
                      from the sequential pass"
-                ));
-            }
+                ),
+            );
             let (rs, rp) = (seq.reduction_percent(), par.reduction_percent());
-            if (rs - rp).abs() > PARITY_BUDGET * rs.abs().max(1e-9) {
-                report.fail(format!(
+            report.gate(
+                (rs - rp).abs() <= PARITY_BUDGET * rs.abs().max(1e-9),
+                format!(
                     "merge-parallel n={n} threads={threads}: reduction {rp:.3}% drifts \
                      >{:.0}% from sequential {rs:.3}%",
                     PARITY_BUDGET * 100.0
-                ));
-            }
+                ),
+            );
         }
     }
     println!(
         "(pipeline threads=1 runs no prepare stage; its win over the sequential driver is \
          the linearization cache, the call-site index, and the pre-codegen Δ gate)"
+    );
+}
+
+/// The per-stage pipeline timers under a sweep row or a streamed total.
+fn print_stages(p: &PipelineStats) {
+    println!(
+        "  stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
+         prepare {:.2?} (cpu {:.2?}), commit {:.2?} (codegen {:.2?}, rewrite {:.2?}); \
+         commit barriers {}",
+        p.schedule,
+        p.schedule_query,
+        p.schedule_prefill,
+        p.schedule_cpu,
+        p.prepare,
+        p.prepare_cpu,
+        p.commit,
+        p.commit_codegen,
+        p.rewrite,
+        p.commit_barriers,
     );
 }
 
@@ -645,7 +592,6 @@ fn peak_rss_mib() -> Option<f64> {
 /// (resp. ≥ 4) cores — threads=2 (resp. threads=4) must beat threads=1
 /// wall-clock.
 fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mut Report) {
-    use fmsa_core::pipeline::PipelineStats;
     use fmsa_core::SearchStrategy;
     use fmsa_ir::printer::print_module;
     use fmsa_workloads::stream_chunks;
@@ -696,18 +642,7 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
          threads={auto}: {merges} merges, {funcs_out} functions out, peak rss {:.0} MiB",
         rss.unwrap_or(f64::NAN)
     );
-    println!(
-        "  stages: schedule {:.2?} (query {:.2?} + prefill {:.2?}; cpu {:.2?}), \
-         prepare {:.2?} (cpu {:.2?}), commit {:.2?}; commit barriers {}",
-        agg.schedule,
-        agg.schedule_query,
-        agg.schedule_prefill,
-        agg.schedule_cpu,
-        agg.prepare,
-        agg.prepare_cpu,
-        agg.commit,
-        agg.commit_barriers,
-    );
+    print_stages(&agg);
     // Header pairs, then the canonical PipelineStats field list (same
     // formatter as merge-parallel and fmsa_opt --stats); `threads` is
     // already in the header.
@@ -728,9 +663,10 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
     ];
     rec.extend(pipeline_json_fields(&agg).into_iter().filter(|(k, _)| *k != "threads"));
     report.record(&rec);
-    if funcs_in != total {
-        report.fail(format!("scale: stream produced {funcs_in} functions, expected {total}"));
-    }
+    report.gate(
+        funcs_in == total,
+        format!("scale: stream produced {funcs_in} functions, expected {total}"),
+    );
 
     // Phase 2: scaling curve on a sampled prefix — small enough to rerun
     // at every thread count, big enough to keep all workers busy.
@@ -739,77 +675,59 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
         .map(|s| s.materialize())
         .collect();
     println!("  scaling curve over a {sample_total}-function sample ({} chunks):", sample.len());
-    println!("    {:>7} {:>10} {:>9} {:>8}", "threads", "wall", "speedup", "identical");
-    // Sequential reference for the bit-identity gate.
-    let seq_texts: Vec<String> = sample
-        .iter()
-        .map(|base| {
-            let mut m = base.clone();
-            run_fmsa(&mut m, &cfg);
-            print_module(&m)
-        })
-        .collect();
-    let mut walls: Vec<(usize, f64)> = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let pcfg = cfg.clone().parallel(threads);
-        let t0 = std::time::Instant::now();
-        let mut identical = true;
-        for (base, seq_text) in sample.iter().zip(&seq_texts) {
-            let mut m = base.clone();
-            run_fmsa_pipeline(&mut m, &pcfg);
-            identical &= print_module(&m) == *seq_text;
+    // Each chunk is swept against its own sequential reference for the
+    // bit-identity gate; a thread count's wall is the sum over chunks.
+    let threads = [1usize, 2, 4, 8];
+    let mut walls = vec![0.0f64; threads.len()];
+    let mut identical = vec![true; threads.len()];
+    for base in &sample {
+        let mut m = base.clone();
+        run_fmsa(&mut m, &cfg);
+        let seq_text = print_module(&m);
+        for (k, run) in
+            thread_sweep(base, &cfg, &threads, |_| Some(seq_text.as_str())).iter().enumerate()
+        {
+            walls[k] += run.wall.as_secs_f64();
+            identical[k] &= run.identical;
         }
-        let wall = t0.elapsed().as_secs_f64();
-        let speedup = walls.first().map(|&(_, w1)| w1 / wall.max(1e-9)).unwrap_or(1.0);
-        walls.push((threads, wall));
-        println!(
-            "    {:>7} {:>9.2}s {:>8.2}x {:>9}",
-            threads,
-            wall,
-            speedup,
-            if identical { "yes" } else { "NO" }
-        );
+    }
+    let table = Table::new("threads:7|wall:10|speedup:9|identical:9");
+    for (k, &t) in threads.iter().enumerate() {
+        let speedup = walls[0] / walls[k].max(1e-9);
+        table.row(&[
+            &t,
+            &format!("{:.2}s", walls[k]),
+            &format!("{speedup:.2}x"),
+            &yes_no(identical[k]),
+        ]);
         report.record(&[
             ("experiment", Json::S("scale".into())),
             ("phase", Json::S("curve".into())),
             ("functions", Json::I(sample_total as i64)),
             ("search", Json::S("lsh".into())),
             ("alignment", Json::S("needleman-wunsch".into())),
-            ("threads", Json::I(threads as i64)),
+            ("threads", Json::I(t as i64)),
             ("cores", Json::I(cores as i64)),
-            ("wall_s", Json::F(wall)),
+            ("wall_s", Json::F(walls[k])),
             ("speedup_vs_threads1", Json::F(speedup)),
-            ("identical_to_sequential", Json::B(identical)),
+            ("identical_to_sequential", Json::B(identical[k])),
         ]);
-        if !identical {
-            report.fail(format!(
-                "scale: pipeline output diverges from the sequential pass at \
-                 threads={threads}"
-            ));
-        }
-    }
-    // Speedup gates only bind when the runner actually has the cores:
-    // with one core, every thread count shares it and the curve is flat
-    // (plus scheduling noise).
-    let wall_at = |t: usize| walls.iter().find(|&&(w, _)| w == t).map(|&(_, w)| w);
-    if cores >= 2 {
-        if let (Some(w1), Some(w2)) = (wall_at(1), wall_at(2)) {
-            if w2 >= w1 {
-                report.fail(format!(
-                    "scale: no speedup at threads=2 on a {cores}-core runner \
-                     ({w2:.2}s vs {w1:.2}s at threads=1)"
-                ));
-            }
-        }
-    }
-    if cores >= 4 {
-        if let (Some(w1), Some(w4)) = (wall_at(1), wall_at(4)) {
-            if w4 >= w1 {
-                report.fail(format!(
-                    "scale: no speedup at threads=4 on a {cores}-core runner \
-                     ({w4:.2}s vs {w1:.2}s at threads=1)"
-                ));
-            }
+        report.gate(
+            identical[k],
+            format!("scale: pipeline output diverges from the sequential pass at threads={t}"),
+        );
+        // Speedup gates only bind when the runner actually has the cores:
+        // with one core, every thread count shares it and the curve is flat
+        // (plus scheduling noise).
+        if (t == 2 || t == 4) && cores >= t {
+            report.gate(
+                walls[k] < walls[0],
+                format!(
+                    "scale: no speedup at threads={t} on a {cores}-core runner \
+                     ({:.2}s vs {:.2}s at threads=1)",
+                    walls[k], walls[0]
+                ),
+            );
         }
     }
 }
@@ -823,20 +741,10 @@ fn scale(fast: bool, functions: Option<usize>, chunk: Option<usize>, report: &mu
 /// reduction.
 fn wasm_frontend(fast: bool, report: &mut Report) {
     use fmsa_core::SearchStrategy;
-    use fmsa_ir::printer::print_module;
     use fmsa_workloads::{wasm_fixture_bytes, WasmFixtureConfig};
     println!("\n== WebAssembly frontend: decode -> lower -> merge (t=5, auto search) ==");
-    println!(
-        "{:>6} {:>10} {:>9} {:>9} {:>7} {:>10} {:>8} {:>11} {:>10}",
-        "#fns",
-        "wasm KiB",
-        "decode",
-        "lower",
-        "threads",
-        "wall",
-        "merges",
-        "reduction%",
-        "identical"
+    let table = Table::new(
+        "#fns:6|wasm KiB:10|decode:9|lower:9|threads:7|wall:10|merges:8|reduction%:11|identical:10",
     );
     let sizes: &[usize] = if fast { &[96] } else { &[96, 384] };
     for &n in sizes {
@@ -860,39 +768,24 @@ fn wasm_frontend(fast: bool, report: &mut Report) {
             }
         };
         let t_lower = t0.elapsed();
-        let errs = fmsa_ir::verify_module(&base);
-        if !errs.is_empty() {
-            report.fail(format!("wasm n={n}: lowered module invalid: {}", errs[0]));
+        if let Some(e) = fmsa_ir::verify_module(&base).first() {
+            report.fail(format!("wasm n={n}: lowered module invalid: {e}"));
             continue;
         }
         let cfg = Config::new().threshold(5).search(SearchStrategy::Auto);
-        let mut first: Option<(String, f64)> = None;
-        for threads in [1usize, 2, 4] {
-            let mut m = base.clone();
-            let pcfg = cfg.clone().parallel(threads);
-            let t0 = std::time::Instant::now();
-            let stats = run_fmsa_pipeline(&mut m, &pcfg);
-            let wall = t0.elapsed();
-            let text = print_module(&m);
-            let identical = match &first {
-                None => {
-                    first = Some((text, stats.reduction_percent()));
-                    true
-                }
-                Some((reference, _)) => *reference == text,
-            };
-            println!(
-                "{:>6} {:>10.1} {:>9.2?} {:>9.2?} {:>7} {:>9.2?} {:>8} {:>11.2} {:>10}",
-                n,
-                bytes.len() as f64 / 1024.0,
-                t_decode,
-                t_lower,
-                threads,
-                wall,
-                stats.merges,
-                stats.reduction_percent(),
-                if identical { "yes" } else { "NO" }
-            );
+        for run in thread_sweep(&base, &cfg, &[1, 2, 4], |_| None) {
+            let (threads, stats) = (run.threads, &run.stats);
+            table.row(&[
+                &n,
+                &format!("{:.1}", bytes.len() as f64 / 1024.0),
+                &format!("{t_decode:.2?}"),
+                &format!("{t_lower:.2?}"),
+                &threads,
+                &format!("{:.2?}", run.wall),
+                &stats.merges,
+                &format!("{:.2}", stats.reduction_percent()),
+                &yes_no(run.identical),
+            ]);
             let p = stats.pipeline.unwrap_or_default();
             report.record(&[
                 ("experiment", Json::S("wasm".into())),
@@ -906,26 +799,26 @@ fn wasm_frontend(fast: bool, report: &mut Report) {
                 ("lower_s", Json::F(t_lower.as_secs_f64())),
                 ("merges", Json::I(stats.merges as i64)),
                 ("reduction_percent", Json::F(stats.reduction_percent())),
-                ("wall_s", Json::F(wall.as_secs_f64())),
-                ("identical_to_threads1", Json::B(identical)),
+                ("wall_s", Json::F(run.wall.as_secs_f64())),
+                ("identical_to_threads1", Json::B(run.identical)),
                 ("schedule_s", Json::F(p.schedule.as_secs_f64())),
                 ("prepare_s", Json::F(p.prepare.as_secs_f64())),
                 ("commit_s", Json::F(p.commit.as_secs_f64())),
                 ("commit_codegen_s", Json::F(p.commit_codegen.as_secs_f64())),
                 ("rewrite_s", Json::F(p.rewrite.as_secs_f64())),
             ]);
-            if !identical {
-                report.fail(format!(
-                    "wasm n={n} threads={threads}: merge output diverges from threads=1"
-                ));
-            }
-            if stats.merges == 0 || stats.reduction_percent() <= 0.0 {
-                report.fail(format!(
+            report.gate(
+                run.identical,
+                format!("wasm n={n} threads={threads}: merge output diverges from threads=1"),
+            );
+            report.gate(
+                stats.merges > 0 && stats.reduction_percent() > 0.0,
+                format!(
                     "wasm n={n} threads={threads}: no measurable reduction ({} merges, {:.3}%)",
                     stats.merges,
                     stats.reduction_percent()
-                ));
-            }
+                ),
+            );
         }
     }
     println!("(corpus: fmsa_workloads::wasm_fixtures — clone families serialized to wasm bytes)");
@@ -946,9 +839,8 @@ fn fuzz_farm(fast: bool, budget_secs: usize, report: &mut Report) {
     let threads = Config::new().parallel(0).resolved_threads();
     let n = if fast { 48 } else { 96 };
     println!("\n== Differential fuzz farm: original vs merged wasm corpus ==");
-    println!(
-        "{:>6} {:>7} {:>8} {:>8} {:>10} {:>7} {:>11} {:>8} {:>7}",
-        "#fns", "memory", "targets", "pairs", "pairs/sec", "paths", "mismatches", "panics", "quar"
+    let table = Table::new(
+        "#fns:6|memory:7|targets:8|pairs:8|pairs/sec:10|paths:7|mismatches:11|panics:8|quar:7",
     );
     let budget = std::time::Duration::from_secs(budget_secs as u64);
     // Half the budget per corpus flavour: pure-compute and linear-memory
@@ -977,11 +869,10 @@ fn fuzz_farm(fast: bool, budget_secs: usize, report: &mut Report) {
             continue;
         }
         let quarantined = stats.quarantine.len();
-        if quarantined > 0 {
-            report.fail(format!(
-                "fuzz memory={with_memory}: clean merge quarantined {quarantined} pair(s)"
-            ));
-        }
+        report.gate(
+            quarantined == 0,
+            format!("fuzz memory={with_memory}: clean merge quarantined {quarantined} pair(s)"),
+        );
         let targets = wire_targets(&mut pre, &mut post, with_memory);
         let (mut pairs, mut panics, mut paths, mut rounds) = (0usize, 0usize, 0usize, 0u64);
         let mut mismatches = Vec::new();
@@ -1005,18 +896,17 @@ fn fuzz_farm(fast: bool, budget_secs: usize, report: &mut Report) {
         }
         let wall = t0.elapsed().as_secs_f64();
         let pairs_per_sec = pairs as f64 / wall.max(1e-9);
-        println!(
-            "{:>6} {:>7} {:>8} {:>8} {:>10.0} {:>7} {:>11} {:>8} {:>7}",
-            n,
-            with_memory,
-            targets.len(),
-            pairs,
-            pairs_per_sec,
-            paths,
-            mismatches.len(),
-            panics,
-            quarantined
-        );
+        table.row(&[
+            &n,
+            &with_memory,
+            &targets.len(),
+            &pairs,
+            &format!("{pairs_per_sec:.0}"),
+            &paths,
+            &mismatches.len(),
+            &panics,
+            &quarantined,
+        ]);
         for m in mismatches.iter().take(5) {
             println!(
                 "       MISMATCH {} seed={:#x}: pre={} post={} (replay: seeded_args from this seed)",
@@ -1038,22 +928,22 @@ fn fuzz_farm(fast: bool, budget_secs: usize, report: &mut Report) {
             ("quarantined", Json::I(quarantined as i64)),
             ("merges", Json::I(stats.merges as i64)),
         ]);
-        if !mismatches.is_empty() {
+        if let Some(first) = mismatches.first() {
             report.fail(format!(
                 "fuzz memory={with_memory}: {} differential mismatch(es), first in {} seed={:#x}",
                 mismatches.len(),
-                mismatches[0].function,
-                mismatches[0].seed
+                first.function,
+                first.seed
             ));
         }
-        if panics > 0 {
-            report.fail(format!("fuzz memory={with_memory}: {panics} interpreter panic(s)"));
-        }
-        if pairs < 1000 {
-            report.fail(format!(
+        report
+            .gate(panics == 0, format!("fuzz memory={with_memory}: {panics} interpreter panic(s)"));
+        report.gate(
+            pairs >= 1000,
+            format!(
                 "fuzz memory={with_memory}: only {pairs} input pairs inside the budget (<1000)"
-            ));
-        }
+            ),
+        );
     }
     println!("(pairs = one input vector run on both original and merged module under equal fuel)");
 }
@@ -1069,54 +959,36 @@ fn fault_matrix(fast: bool, report: &mut Report) {
     use fmsa_core::quarantine::QuarantineStage;
     use fmsa_core::SearchStrategy;
     use fmsa_core::{silence_injected_panics, FaultPlan, FaultSite};
-    use fmsa_ir::printer::print_module;
     use fmsa_workloads::{clone_swarm_module, SwarmConfig};
     silence_injected_panics();
     let n = if fast { 600 } else { 5000 };
     println!("\n== Fault-injection matrix: quarantine and graceful degradation (n={n}) ==");
-    println!(
-        "{:>9} {:>7} {:>10} {:>8} {:>6} {:>8} {:>7} {:>10} {:>9}",
-        "plan", "threads", "wall", "merges", "quar", "panics", "verify", "identical", "summary="
+    let table = Table::new(
+        "plan:9|threads:7|wall:10|merges:8|quar:6|panics:8|verify:7|identical:10|summary=:9",
     );
     let base = clone_swarm_module(&SwarmConfig::with_functions(n));
-    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh());
     let (label, faults) = ("injected", FaultPlan::new(0xFA17, 20_000, &FaultSite::ALL));
-    let mut reference: Option<(String, String)> = None;
-    for threads in [1usize, 2, 4] {
-        let mut m = base.clone();
-        let pcfg = cfg.clone().parallel(threads).faults(faults);
-        let t0 = std::time::Instant::now();
-        let stats = run_fmsa_pipeline(&mut m, &pcfg);
-        let wall = t0.elapsed();
-        let errs = fmsa_ir::verify_module(&m);
-        if !errs.is_empty() {
-            report.fail(format!(
-                "faults {label} threads={threads}: output module invalid: {}",
-                errs[0]
-            ));
+    let cfg = Config::new().threshold(5).search(SearchStrategy::lsh()).faults(faults);
+    let runs = thread_sweep(&base, &cfg, &[1, 2, 4], |_| None);
+    let reference_summary = runs[0].stats.quarantine.summary();
+    for run in &runs {
+        let (threads, stats) = (run.threads, &run.stats);
+        if let Some(e) = fmsa_ir::verify_module(&run.module).first() {
+            report.fail(format!("faults {label} threads={threads}: output module invalid: {e}"));
         }
-        let text = print_module(&m);
-        let summary = stats.quarantine.summary();
-        let (identical, summary_same) = match &reference {
-            None => {
-                reference = Some((text.clone(), summary.clone()));
-                (true, true)
-            }
-            Some((rt, rs)) => (*rt == text, *rs == summary),
-        };
+        let summary_same = stats.quarantine.summary() == reference_summary;
         let p = stats.pipeline.unwrap_or_default();
-        println!(
-            "{:>9} {:>7} {:>9.2?} {:>8} {:>6} {:>8} {:>7} {:>10} {:>9}",
-            label,
-            threads,
-            wall,
-            stats.merges,
-            p.quarantined(),
-            p.panics_caught,
-            p.quarantined_verify,
-            if identical { "yes" } else { "NO" },
-            if summary_same { "same" } else { "DIFFERS" }
-        );
+        table.row(&[
+            &label,
+            &threads,
+            &format!("{:.2?}", run.wall),
+            &stats.merges,
+            &p.quarantined(),
+            &p.panics_caught,
+            &p.quarantined_verify,
+            &yes_no(run.identical),
+            &if summary_same { "same" } else { "DIFFERS" },
+        ]);
         report.record(&[
             ("experiment", Json::S("faults".into())),
             ("plan", Json::S(label.into())),
@@ -1129,16 +1001,17 @@ fn fault_matrix(fast: bool, report: &mut Report) {
             ("quarantined_codegen", Json::I(p.quarantined_codegen as i64)),
             ("quarantined_verify", Json::I(p.quarantined_verify as i64)),
             ("panics_caught", Json::I(p.panics_caught as i64)),
-            ("wall_s", Json::F(wall.as_secs_f64())),
-            ("identical_to_threads1", Json::B(identical)),
+            ("wall_s", Json::F(run.wall.as_secs_f64())),
+            ("identical_to_threads1", Json::B(run.identical)),
             ("quarantine_summary_identical", Json::B(summary_same)),
         ]);
-        if !identical || !summary_same {
-            report.fail(format!(
+        report.gate(
+            run.identical && summary_same,
+            format!(
                 "faults {label} threads={threads}: output or quarantine set diverges \
                  from threads=1"
-            ));
-        }
+            ),
+        );
         // Every quarantined pair must trace back to the plan: the
         // corpus itself is healthy, so an unplanned entry means the
         // fault boundary leaked.
@@ -1155,19 +1028,21 @@ fn fault_matrix(fast: bool, report: &mut Report) {
                     continue;
                 }
             };
-            if !faults.fires(site, &e.f1, &e.f2) {
-                report.fail(format!(
+            report.gate(
+                faults.fires(site, &e.f1, &e.f2),
+                format!(
                     "faults {label}: pair {},{} quarantined at {} without a planned fault",
                     e.f1, e.f2, e.stage
-                ));
-            }
+                ),
+            );
         }
-        if p.quarantined() == 0 {
-            report.fail(format!(
+        report.gate(
+            p.quarantined() > 0,
+            format!(
                 "faults {label} threads={threads}: plan fired no quarantines — \
                  the matrix is not exercising the boundaries"
-            ));
-        }
+            ),
+        );
     }
     println!("(injected faults quarantine deterministically on the commit path)");
 }
@@ -1176,7 +1051,7 @@ fn fault_matrix(fast: bool, report: &mut Report) {
 
 fn ablation_params(suite: &[BenchDesc]) {
     println!("\n== Ablation: §III-E parameter reuse (\"improves ... by up to 7%\") ==");
-    println!("{:<16} {:>10} {:>10} {:>8}", "benchmark", "reuse-on", "reuse-off", "delta");
+    let table = Table::new("benchmark:<16|reuse-on:10|reuse-off:10|delta:8");
     let cm = CostModel::new(TargetArch::X86_64);
     let mut best = 0.0f64;
     for desc in suite {
@@ -1194,12 +1069,26 @@ fn ablation_params(suite: &[BenchDesc]) {
         let on = run(true);
         let off = run(false);
         best = best.max(on - off);
-        println!("{:<16} {:>10.2} {:>10.2} {:>8.2}", desc.name, on, off, on - off);
+        float_row(&table, desc.name, &[on, off, on - off], 2);
     }
     println!("(largest per-benchmark improvement from parameter reuse: {best:.2}%)");
 }
 
 // ---------------------------------------------------------------- serve
+
+/// The wasm fixture corpus of `n` functions generated from `seed`.
+fn wasm_corpus(n: usize, seed: u64) -> Vec<u8> {
+    use fmsa_workloads::{wasm_fixture_bytes, WasmFixtureConfig};
+    wasm_fixture_bytes(&WasmFixtureConfig { seed, ..WasmFixtureConfig::with_functions(n) })
+}
+
+/// What batch `fmsa_opt` prints for an uploaded corpus: the daemon's
+/// byte-parity reference.
+fn batch_output(upload: &[u8]) -> String {
+    let mut m = fmsa::load_module_bytes(upload, "upload").expect("corpus loads");
+    fmsa::optimize(&mut m, &Config::new()).expect("corpus merges");
+    fmsa::ir::printer::print_module(&m)
+}
 
 /// The merge-daemon load generator: boots an in-process `fmsa-serve` over
 /// a persistent store, then measures (and under `--check` gates) the
@@ -1210,15 +1099,9 @@ fn ablation_params(suite: &[BenchDesc]) {
 /// survival across a daemon restart.
 fn serve_bench(fast: bool, report: &mut Report) {
     use fmsa_serve::{client, Server, ServerConfig};
-    use fmsa_workloads::{wasm_fixture_bytes, WasmFixtureConfig};
     let n = if fast { 96 } else { 192 };
     println!("\n== fmsa-serve: merge daemon under load (n={n} functions per corpus) ==");
 
-    let corpus = |seed: u64| -> Vec<u8> {
-        let mut cfg = WasmFixtureConfig::with_functions(n);
-        cfg.seed = seed;
-        wasm_fixture_bytes(&cfg)
-    };
     let store_dir = std::env::temp_dir().join(format!("fmsa-serve-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let server_cfg = ServerConfig { store_dir: Some(store_dir.clone()), ..ServerConfig::default() };
@@ -1231,12 +1114,8 @@ fn serve_bench(fast: bool, report: &mut Report) {
     };
 
     // Parity reference: the exact bytes batch fmsa_opt would print.
-    let primary = corpus(1);
-    let reference = {
-        let mut m = fmsa::load_module_bytes(&primary, "upload").expect("corpus loads");
-        fmsa::optimize(&mut m, &Config::new()).expect("corpus merges");
-        fmsa::ir::printer::print_module(&m)
-    };
+    let primary = wasm_corpus(n, 1);
+    let reference = batch_output(&primary);
 
     // Uploads go through the retrying client: a shed (429/503) response
     // is backed off and retried per its Retry-After instead of failing
@@ -1262,10 +1141,10 @@ fn serve_bench(fast: bool, report: &mut Report) {
         report.fail(format!("serve-bench: cold upload returned {}", cold.status));
         return;
     }
-    if cold.text() != reference {
-        report
-            .fail("serve-bench: daemon output is not byte-identical to batch fmsa_opt".to_owned());
-    }
+    report.gate(
+        cold.text() == reference,
+        "serve-bench: daemon output is not byte-identical to batch fmsa_opt",
+    );
     let merges = header_u64(&cold, "x-fmsa-merges");
 
     // Warm re-upload: byte-identical output, nonzero hit rate, faster.
@@ -1277,25 +1156,24 @@ fn serve_bench(fast: bool, report: &mut Report) {
     let warm_hits = header_u64(&warm, "x-fmsa-store-hits");
     let warm_total = warm_hits + header_u64(&warm, "x-fmsa-store-misses");
     let hit_rate = warm_hits as f64 / (warm_total as f64).max(1.0);
-    if warm.body != cold.body {
-        report
-            .fail("serve-bench: warm re-upload is not byte-identical to the cold merge".to_owned());
-    }
-    if warm_hits == 0 {
-        report.fail("serve-bench: warm re-upload saw zero store hits".to_owned());
-    }
-    if t_warm >= t_cold {
-        report.fail(format!(
+    report.gate(
+        warm.body == cold.body,
+        "serve-bench: warm re-upload is not byte-identical to the cold merge",
+    );
+    report.gate(warm_hits > 0, "serve-bench: warm re-upload saw zero store hits");
+    report.gate(
+        t_warm < t_cold,
+        format!(
             "serve-bench: warm re-upload ({t_warm:.2?}) not faster than cold merge ({t_cold:.2?})"
-        ));
-    }
+        ),
+    );
 
     // Sustained load: distinct corpora, so every request is a real merge.
     let seeds: &[u64] = if fast { &[2, 3, 4, 5] } else { &[2, 3, 4, 5, 6, 7, 8, 9] };
     let mut sustained_merges = 0u64;
     let t0 = std::time::Instant::now();
     for &seed in seeds {
-        let (resp, _) = upload(&server, &corpus(seed));
+        let (resp, _) = upload(&server, &wasm_corpus(n, seed));
         match resp {
             Ok(r) if r.status == 200 => sustained_merges += header_u64(&r, "x-fmsa-merges"),
             Ok(r) => report.fail(format!("serve-bench: seed {seed} upload returned {}", r.status)),
@@ -1318,14 +1196,12 @@ fn serve_bench(fast: bool, report: &mut Report) {
                     let hits = header_u64(&r, "x-fmsa-store-hits");
                     let total = hits + header_u64(&r, "x-fmsa-store-misses");
                     restart_hit_rate = hits as f64 / (total as f64).max(1.0);
-                    if r.body != cold.body {
-                        report.fail("serve-bench: output changed across a restart".to_owned());
-                    }
-                    if hits != total || total == 0 {
-                        report.fail(format!(
-                            "serve-bench: reloaded index recognized {hits}/{total} functions"
-                        ));
-                    }
+                    report
+                        .gate(r.body == cold.body, "serve-bench: output changed across a restart");
+                    report.gate(
+                        hits == total && total > 0,
+                        format!("serve-bench: reloaded index recognized {hits}/{total} functions"),
+                    );
                 }
                 Ok(r) => report.fail(format!("serve-bench: post-restart upload got {}", r.status)),
                 Err(e) => report.fail(format!("serve-bench: post-restart upload failed: {e}")),
@@ -1336,15 +1212,19 @@ fn serve_bench(fast: bool, report: &mut Report) {
     }
     let _ = std::fs::remove_dir_all(&store_dir);
 
-    println!(
-        "{:>10} {:>10} {:>9} {:>12} {:>12} {:>13} {:>13}",
-        "cold", "warm", "speedup", "hit rate", "merges/sec", "requests/sec", "restart hits"
+    let table = Table::new(
+        "cold:10|warm:10|speedup:9|hit rate:12|merges/sec:12|requests/sec:13|restart hits:13",
     );
     let speedup = t_cold.as_secs_f64() / t_warm.as_secs_f64().max(1e-9);
-    println!(
-        "{:>9.2?} {:>9.2?} {:>8.1}x {:>12.3} {:>12.1} {:>13.1} {:>13.3}",
-        t_cold, t_warm, speedup, hit_rate, merges_per_sec, requests_per_sec, restart_hit_rate
-    );
+    table.row(&[
+        &format!("{t_cold:.2?}"),
+        &format!("{t_warm:.2?}"),
+        &format!("{speedup:.1}x"),
+        &format!("{hit_rate:.3}"),
+        &format!("{merges_per_sec:.1}"),
+        &format!("{requests_per_sec:.1}"),
+        &format!("{restart_hit_rate:.3}"),
+    ]);
     report.record(&[
         ("experiment", Json::S("serve-bench".into())),
         ("functions", Json::I(n as i64)),
@@ -1395,18 +1275,12 @@ fn chaos(fast: bool, report: &mut Report) {
     use fmsa_core::store::{scan_store, FunctionStore, StoreOptions, STORE_FILE};
     use fmsa_core::{FaultPlan, FaultSite};
     use fmsa_serve::{client, Server, ServerConfig};
-    use fmsa_workloads::{wasm_fixture_bytes, WasmFixtureConfig};
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     let cycles: u64 = if fast { 20 } else { 50 };
     let n = if fast { 16 } else { 32 };
     println!("\n== chaos: {cycles} kill/restart cycles under store faults (n={n} fns/corpus) ==");
 
-    let corpus = |seed: u64| -> Vec<u8> {
-        let mut cfg = WasmFixtureConfig::with_functions(n);
-        cfg.seed = seed;
-        wasm_fixture_bytes(&cfg)
-    };
     let store_dir = std::env::temp_dir().join(format!("fmsa-chaos-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let mk_cfg = |faults: FaultPlan| ServerConfig {
@@ -1421,19 +1295,16 @@ fn chaos(fast: bool, report: &mut Report) {
     // draw rather than a permanently poisoned input.
     let cycle_faults =
         |cycle: u64| FaultPlan::new(cycle, 5_000, &[FaultSite::StoreWrite, FaultSite::StoreFsync]);
-    let entry_set = |entries: &[(ContentHash, u64)]| -> Vec<(ContentHash, u64)> {
-        let mut v = entries.to_vec();
+    let sorted = |mut v: Vec<(ContentHash, u64)>| {
         v.sort();
         v
     };
+    let entry_set =
+        |store: &FunctionStore| sorted(store.entries().map(|e| (e.hash, e.seen)).collect());
 
     // Warm phase (no faults): reference bytes + a durable warm store.
-    let primary = corpus(1);
-    let reference = {
-        let mut m = fmsa::load_module_bytes(&primary, "upload").expect("corpus loads");
-        fmsa::optimize(&mut m, &Config::new()).expect("corpus merges");
-        fmsa::ir::printer::print_module(&m).into_bytes()
-    };
+    let primary = wasm_corpus(n, 1);
+    let reference = batch_output(&primary).into_bytes();
     match Server::bind(mk_cfg(FaultPlan::disabled())).and_then(Server::spawn) {
         Ok(mut server) => {
             match client::post(server.addr(), "/v1/modules", &primary) {
@@ -1487,9 +1358,11 @@ fn chaos(fast: bool, report: &mut Report) {
             Ok(r) if r.status == 200 => {
                 latencies.push(t0.elapsed());
                 uploads_ok += 1;
-                if r.body != reference {
+                if !report.gate(
+                    r.body == reference,
+                    format!("chaos: cycle {cycle}: re-serve not byte-identical"),
+                ) {
                     reserve_mismatches += 1;
-                    report.fail(format!("chaos: cycle {cycle}: re-serve not byte-identical"));
                 }
             }
             // An injected ingest fault surfaces as a 5xx: acceptable
@@ -1501,7 +1374,7 @@ fn chaos(fast: bool, report: &mut Report) {
         let workers: Vec<_> = (0..3u64)
             .map(|w| {
                 let addr = server.addr();
-                let body = corpus(100 + cycle * 3 + w);
+                let body = wasm_corpus(n, 100 + cycle * 3 + w);
                 let retry = retry.clone();
                 std::thread::spawn(move || {
                     let t0 = Instant::now();
@@ -1550,19 +1423,21 @@ fn chaos(fast: bool, report: &mut Report) {
         // Gate: recovery == independent scan; open never panics.
         let expected = scan_store(&mutated);
         skipped_total += expected.skipped_records as u64;
+        let want = sorted(expected.entries);
         match std::panic::catch_unwind(|| FunctionStore::open(&store_dir)) {
             Ok(Ok(store)) => {
-                let got: Vec<(ContentHash, u64)> =
-                    store.entries().map(|e| (e.hash, e.seen)).collect();
-                if entry_set(&got) != entry_set(&expected.entries) {
-                    lost_cycles += 1;
-                    report.fail(format!(
+                let got = entry_set(&store);
+                if !report.gate(
+                    got == want,
+                    format!(
                         "chaos: cycle {cycle}: recovered {} entries, independent scan \
                          of the mutated log says {} (cut {cut}/{})",
                         got.len(),
-                        expected.entries.len(),
+                        want.len(),
                         raw.len()
-                    ));
+                    ),
+                ) {
+                    lost_cycles += 1;
                 }
             }
             Ok(Err(e)) => report.fail(format!("chaos: cycle {cycle}: recovery errored: {e}")),
@@ -1582,22 +1457,16 @@ fn chaos(fast: bool, report: &mut Report) {
         };
         match FunctionStore::open_with(&store_dir, rename_fault) {
             Ok(mut store) => {
-                let before: Vec<(ContentHash, u64)> =
-                    store.entries().map(|e| (e.hash, e.seen)).collect();
-                if store.compact().is_ok() {
-                    report.fail("chaos: rename fault did not fire on compact".to_owned());
-                }
+                let before = entry_set(&store);
+                report
+                    .gate(store.compact().is_err(), "chaos: rename fault did not fire on compact");
                 drop(store);
                 match FunctionStore::open(&store_dir) {
                     Ok(store) => {
-                        let after: Vec<(ContentHash, u64)> =
-                            store.entries().map(|e| (e.hash, e.seen)).collect();
-                        if entry_set(&after) != entry_set(&before) {
-                            report.fail(
-                                "chaos: failed compaction changed the log (hybrid state)"
-                                    .to_owned(),
-                            );
-                        }
+                        report.gate(
+                            entry_set(&store) == before,
+                            "chaos: failed compaction changed the log (hybrid state)",
+                        );
                     }
                     Err(e) => report.fail(format!("chaos: reopen after failed compact: {e}")),
                 }
@@ -1607,25 +1476,20 @@ fn chaos(fast: bool, report: &mut Report) {
         // And an unfaulted compaction folds cleanly and round-trips.
         match FunctionStore::open(&store_dir) {
             Ok(mut store) => {
-                let before: Vec<(ContentHash, u64)> =
-                    store.entries().map(|e| (e.hash, e.seen)).collect();
+                let before = entry_set(&store);
                 match store.compact() {
                     Ok(_) => {
                         drop(store);
                         match FunctionStore::open(&store_dir) {
                             Ok(store) => {
-                                let after: Vec<(ContentHash, u64)> =
-                                    store.entries().map(|e| (e.hash, e.seen)).collect();
-                                if entry_set(&after) != entry_set(&before) {
-                                    report.fail(
-                                        "chaos: compaction changed the live entry set".to_owned(),
-                                    );
-                                }
-                                if store.dead_bytes() != 0 {
-                                    report.fail(
-                                        "chaos: compacted log still has dead bytes".to_owned(),
-                                    );
-                                }
+                                report.gate(
+                                    entry_set(&store) == before,
+                                    "chaos: compaction changed the live entry set",
+                                );
+                                report.gate(
+                                    store.dead_bytes() == 0,
+                                    "chaos: compacted log still has dead bytes",
+                                );
                             }
                             Err(e) => report.fail(format!("chaos: reopen after compact: {e}")),
                         }
@@ -1638,12 +1502,8 @@ fn chaos(fast: bool, report: &mut Report) {
     }
     let _ = std::fs::remove_dir_all(&store_dir);
 
-    if kills < cycles {
-        report.fail(format!("chaos: only {kills}/{cycles} kill cycles ran"));
-    }
-    if panics > 0 {
-        report.fail(format!("chaos: {panics} panic(s) observed"));
-    }
+    report.gate(kills >= cycles, format!("chaos: only {kills}/{cycles} kill cycles ran"));
+    report.gate(panics == 0, format!("chaos: {panics} panic(s) observed"));
     latencies.sort();
     let pct = |p: f64| -> f64 {
         if latencies.is_empty() {
@@ -1654,18 +1514,19 @@ fn chaos(fast: bool, report: &mut Report) {
     };
     let (p50, p95, max) = (pct(0.50), pct(0.95), pct(1.0));
     // Tail bound: the request deadline caps every successful upload.
-    if max > 60_000.0 {
-        report.fail(format!("chaos: tail latency unbounded ({max:.0} ms)"));
-    }
+    report.gate(max <= 60_000.0, format!("chaos: tail latency unbounded ({max:.0} ms)"));
 
-    println!(
-        "{:>7} {:>8} {:>7} {:>10} {:>9} {:>9} {:>9} {:>9}",
-        "cycles", "kills", "panics", "lost", "ok", "faulted", "p50 ms", "p95 ms"
-    );
-    println!(
-        "{:>7} {:>8} {:>7} {:>10} {:>9} {:>9} {:>9.1} {:>9.1}",
-        cycles, kills, panics, lost_cycles, uploads_ok, uploads_faulted, p50, p95
-    );
+    let table = Table::new("cycles:7|kills:8|panics:7|lost:10|ok:9|faulted:9|p50 ms:9|p95 ms:9");
+    table.row(&[
+        &cycles,
+        &kills,
+        &panics,
+        &lost_cycles,
+        &uploads_ok,
+        &uploads_faulted,
+        &format!("{p50:.1}"),
+        &format!("{p95:.1}"),
+    ]);
     report.record(&[
         ("experiment", Json::S("chaos".into())),
         ("cycles", Json::I(cycles as i64)),
@@ -1723,19 +1584,19 @@ fn obs(fast: bool, report: &mut Report) {
         let mut m = base.clone();
         let t0 = std::time::Instant::now();
         let st = run_fmsa(&mut m, &cfg);
-        (t0.elapsed().as_secs_f64(), st)
+        (t0.elapsed().as_secs_f64(), st, m)
     };
     let _ = time_run(); // warm-up: page cache, allocator, branch predictors
     let mut wall_off = f64::INFINITY;
     let mut wall_on = f64::INFINITY;
-    let mut seq_stats = None;
+    let mut seq = None;
     for _ in 0..4 {
         trace::disable();
-        let (w, st) = time_run();
+        let (w, st, m) = time_run();
         wall_off = wall_off.min(w);
-        seq_stats = Some(st);
+        seq = Some((st, m));
         trace::enable();
-        let (w, _) = time_run();
+        let (w, ..) = time_run();
         wall_on = wall_on.min(w);
         let _ = trace::drain(); // keep per-thread buffers from filling up
     }
@@ -1753,21 +1614,20 @@ fn obs(fast: bool, report: &mut Report) {
         ("wall_on_s", Json::F(wall_on)),
         ("overhead_pct", Json::F(overhead_pct)),
     ]);
-    if overhead_pct > 3.0 {
-        report.fail(format!(
+    report.gate(
+        overhead_pct <= 3.0,
+        format!(
             "obs: tracing overhead {overhead_pct:.2}% exceeds the 3% budget \
              (off {wall_off:.3}s, on {wall_on:.3}s)"
-        ));
-    }
+        ),
+    );
 
     // (b) Bit-identity: the pipeline must print the sequential bytes at
     // every thread count, with the flight recorder both off and on —
-    // telemetry observes, it never decides.
-    let seq_text = {
-        let mut m = base.clone();
-        run_fmsa(&mut m, &cfg);
-        print_module(&m)
-    };
+    // telemetry observes, it never decides. The reference is the last
+    // untraced sequential run of (a).
+    let (seq_stats, seq_module) = seq.expect("overhead loop ran");
+    let seq_text = print_module(&seq_module);
     let mut identical_all = true;
     for traced in [false, true] {
         if traced {
@@ -1775,25 +1635,18 @@ fn obs(fast: bool, report: &mut Report) {
         } else {
             trace::disable();
         }
-        for threads in [1usize, 2, 4, 8] {
-            let pcfg = cfg.clone().parallel(threads);
-            let mut m = base.clone();
-            run_fmsa_pipeline(&mut m, &pcfg);
-            let identical = print_module(&m) == seq_text;
-            identical_all &= identical;
-            if !identical {
-                report.fail(format!(
-                    "obs: pipeline output diverges from sequential at threads={threads} \
-                     tracing={}",
+        for run in thread_sweep(&base, &cfg, &[1, 2, 4, 8], |_| Some(seq_text.as_str())) {
+            identical_all &= report.gate(
+                run.identical,
+                format!(
+                    "obs: pipeline output diverges from sequential at threads={} tracing={}",
+                    run.threads,
                     if traced { "on" } else { "off" }
-                ));
-            }
+                ),
+            );
         }
     }
-    println!(
-        "  bit-identity at threads 1/2/4/8, tracing off+on: {}",
-        if identical_all { "yes" } else { "NO" }
-    );
+    println!("  bit-identity at threads 1/2/4/8, tracing off+on: {}", yes_no(identical_all));
     report.record(&[
         ("experiment", Json::S("obs".into())),
         ("check", Json::S("bit-identity".into())),
@@ -1807,21 +1660,21 @@ fn obs(fast: bool, report: &mut Report) {
     trace::disable();
     let (events, dropped) = trace::drain();
     let nesting = trace::check_nesting(&events);
-    if events.is_empty() {
-        report.fail("obs: tracing-enabled runs recorded no span events".to_owned());
-    }
+    report.gate(!events.is_empty(), "obs: tracing-enabled runs recorded no span events");
     if let Err(e) = &nesting {
         report.fail(format!("obs: trace spans are not well nested: {e}"));
     }
     for required in ["pass", "generation", "schedule", "prepare", "commit", "merge_attempt"] {
-        if !events.iter().any(|ev| ev.name == required) {
-            report.fail(format!("obs: trace is missing the {required:?} span"));
-        }
+        report.gate(
+            events.iter().any(|ev| ev.name == required),
+            format!("obs: trace is missing the {required:?} span"),
+        );
     }
     let export = trace::export_chrome(&events);
-    if !export.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[") {
-        report.fail("obs: Chrome-trace export has an unexpected envelope".to_owned());
-    }
+    report.gate(
+        export.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["),
+        "obs: Chrome-trace export has an unexpected envelope",
+    );
     println!(
         "  trace: {} events across {} threads, nesting {}",
         events.len(),
@@ -1844,10 +1697,10 @@ fn obs(fast: bool, report: &mut Report) {
         let d = &st.decisions;
         let mut ok = true;
         let mut check = |what: &str, got: u64, want: u64| {
-            if got != want {
-                ok = false;
-                report.fail(format!("obs: {label} decisions: {what} = {got}, expected {want}"));
-            }
+            ok &= report.gate(
+                got == want,
+                format!("obs: {label} decisions: {what} = {got}, expected {want}"),
+            );
         };
         check("total()", d.total(), st.attempted as u64);
         check("Merged", d.count(O::Merged), st.merges as u64);
@@ -1863,7 +1716,6 @@ fn obs(fast: bool, report: &mut Report) {
         let mut m = base.clone();
         run_fmsa_pipeline(&mut m, &pcfg)
     };
-    let seq_stats = seq_stats.expect("overhead loop ran");
     let seq_ok = reconcile("sequential", &seq_stats, report);
     let par_ok = reconcile("pipeline", &par_stats, report);
     println!(
@@ -1904,13 +1756,12 @@ fn obs(fast: bool, report: &mut Report) {
             match client::get(server.addr(), "/metrics") {
                 Err(e) => report.fail(format!("obs: GET /metrics failed: {e}")),
                 Ok(r) => {
-                    if r.status != 200 {
-                        report.fail(format!("obs: GET /metrics returned {}", r.status));
-                    }
-                    if !r.header("content-type").is_some_and(|ct| ct.contains("version=0.0.4")) {
-                        report
-                            .fail("obs: /metrics content-type is not exposition 0.0.4".to_owned());
-                    }
+                    report
+                        .gate(r.status == 200, format!("obs: GET /metrics returned {}", r.status));
+                    report.gate(
+                        r.header("content-type").is_some_and(|ct| ct.contains("version=0.0.4")),
+                        "obs: /metrics content-type is not exposition 0.0.4",
+                    );
                     let body = r.text();
                     for family in [
                         "fmsa_http_requests_total",
@@ -1922,17 +1773,15 @@ fn obs(fast: bool, report: &mut Report) {
                         "fmsa_queue_active_connections",
                         "fmsa_uptime_seconds",
                     ] {
-                        if !body.contains(family) {
-                            families_ok = false;
-                            report.fail(format!("obs: /metrics is missing family {family}"));
-                        }
-                    }
-                    if !body.contains("# TYPE fmsa_http_requests_total counter") {
-                        families_ok = false;
-                        report.fail(
-                            "obs: /metrics lacks the TYPE line for requests_total".to_owned(),
+                        families_ok &= report.gate(
+                            body.contains(family),
+                            format!("obs: /metrics is missing family {family}"),
                         );
                     }
+                    families_ok &= report.gate(
+                        body.contains("# TYPE fmsa_http_requests_total counter"),
+                        "obs: /metrics lacks the TYPE line for requests_total",
+                    );
                 }
             }
             let mut recent_ok = false;
@@ -1940,24 +1789,22 @@ fn obs(fast: bool, report: &mut Report) {
                 Err(e) => report.fail(format!("obs: GET /v1/merges/recent failed: {e}")),
                 Ok(r) => {
                     let body = r.text();
-                    recent_ok = r.status == 200
-                        && body.contains("\"records\":[")
-                        && body.contains("\"total\":");
-                    if !recent_ok {
-                        report.fail(format!(
-                            "obs: /v1/merges/recent malformed (status {})",
-                            r.status
-                        ));
-                    }
+                    recent_ok = report.gate(
+                        r.status == 200
+                            && body.contains("\"records\":[")
+                            && body.contains("\"total\":"),
+                        format!("obs: /v1/merges/recent malformed (status {})", r.status),
+                    );
                 }
             }
             match client::get(server.addr(), "/v1/stats") {
                 Err(e) => report.fail(format!("obs: GET /v1/stats failed: {e}")),
                 Ok(r) => {
                     let body = r.text();
-                    if !(body.contains("\"version\":") && body.contains("\"started_at\":")) {
-                        report.fail("obs: /v1/stats lacks build metadata".to_owned());
-                    }
+                    report.gate(
+                        body.contains("\"version\":") && body.contains("\"started_at\":"),
+                        "obs: /v1/stats lacks build metadata",
+                    );
                 }
             }
             println!(

@@ -59,6 +59,12 @@ fn fail(stage: &str, function: Option<&str>, detail: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Reports a bad command line and returns exit code 2.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("fmsa_opt: {msg}");
+    ExitCode::from(2)
+}
+
 /// [`fail`] from a library [`Error`]: the enum carries the stage and
 /// function, so the contract line falls straight out.
 fn fail_error(e: &Error, context: &str) -> ExitCode {
@@ -94,28 +100,35 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--technique" => technique = it.next().unwrap_or_default(),
-            "--threshold" => threshold = it.next().and_then(|s| s.parse().ok()).unwrap_or(1),
+            "--threshold" => match it.next().as_deref().map(str::parse) {
+                Some(Ok(n)) => threshold = n,
+                _ => return usage_error("--threshold needs a number"),
+            },
             "--oracle" => oracle = true,
             "--arch" => {
-                arch = match it.next().as_deref() {
-                    Some("arm-thumb") => TargetArch::ArmThumb,
-                    _ => TargetArch::X86_64,
+                let name = it.next().unwrap_or_default();
+                match TargetArch::ALL.into_iter().find(|t| t.name() == name) {
+                    Some(t) => arch = t,
+                    None => {
+                        return usage_error(&format!("unknown --arch {name:?} (x86-64|arm-thumb)"))
+                    }
                 }
             }
             "--canonicalize" => canonicalize = true,
             "--search" => {
-                search = match it.next().as_deref() {
-                    Some("lsh") => SearchStrategy::lsh(),
-                    Some("exact") => SearchStrategy::Exact,
-                    _ => SearchStrategy::Auto,
+                let mode = it.next().unwrap_or_default();
+                search = match mode.as_str() {
+                    "lsh" => SearchStrategy::lsh(),
+                    "exact" => SearchStrategy::Exact,
+                    "auto" => SearchStrategy::Auto,
+                    _ => {
+                        return usage_error(&format!("unknown --search {mode:?} (exact|lsh|auto)"))
+                    }
                 }
             }
             "--threads" => match it.next().as_deref().map(str::parse) {
                 Some(Ok(n)) => threads = Some(n),
-                _ => {
-                    eprintln!("fmsa_opt: --threads needs a number (0 = available parallelism)");
-                    return ExitCode::from(2);
-                }
+                _ => return usage_error("--threads needs a number (0 = available parallelism)"),
             },
             "--exclude" => {
                 for n in it.next().unwrap_or_default().split(',') {
@@ -127,33 +140,22 @@ fn main() -> ExitCode {
             "--stats" => stats = true,
             "--trace-out" => match it.next() {
                 Some(p) => trace_out = Some(p),
-                None => {
-                    eprintln!("fmsa_opt: --trace-out needs a path");
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("--trace-out needs a path"),
             },
             "--explain-merges" => match it.next() {
                 Some(p) => explain_merges = Some(p),
-                None => {
-                    eprintln!("fmsa_opt: --explain-merges needs a path");
-                    return ExitCode::from(2);
-                }
+                None => return usage_error("--explain-merges needs a path"),
             },
             "-o" => output = it.next(),
             other if !other.starts_with('-') && input.is_none() => input = Some(other.to_owned()),
-            other => {
-                eprintln!("fmsa_opt: unknown argument {other:?}");
-                return ExitCode::from(2);
-            }
+            other => return usage_error(&format!("unknown argument {other:?}")),
         }
     }
     let Some(input) = input else {
-        eprintln!("fmsa_opt: no input file");
-        return ExitCode::from(2);
+        return usage_error("no input file");
     };
     if !matches!(technique.as_str(), "identical" | "soa" | "fmsa") {
-        eprintln!("fmsa_opt: unknown technique {technique:?}");
-        return ExitCode::from(2);
+        return usage_error(&format!("unknown technique {technique:?}"));
     }
     let bytes = match std::fs::read(&input) {
         Ok(b) => b,

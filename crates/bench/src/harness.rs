@@ -4,13 +4,16 @@
 //! this module.
 
 use fmsa_core::baselines::{run_identical, run_soa};
-use fmsa_core::pass::{run_fmsa, StepTimers};
-use fmsa_core::pipeline::{PipelineStats, StatValue};
+use fmsa_core::pass::{run_fmsa, FmsaStats, StepTimers};
+use fmsa_core::pipeline::{run_fmsa_pipeline, PipelineStats, StatValue};
+use fmsa_core::telemetry::json_escape;
 use fmsa_core::Config;
+use fmsa_ir::printer::print_module;
 use fmsa_ir::Module;
 use fmsa_target::{reduction_percent, CostModel, TargetArch};
 use fmsa_workloads::{add_driver, BenchDesc, DriverConfig};
 use std::collections::HashSet;
+use std::fmt::Display;
 use std::time::{Duration, Instant};
 
 /// Outcome of applying one technique to one benchmark on one target.
@@ -277,20 +280,6 @@ pub enum Json {
     B(bool),
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders one flat JSON object from field/value pairs.
 pub fn json_object(fields: &[(&str, Json)]) -> String {
     let mut out = String::from("{");
@@ -339,6 +328,14 @@ impl Report {
         self.failures.push(msg);
     }
 
+    /// Records `msg` as a budget violation unless `ok`; returns `ok`.
+    pub fn gate(&mut self, ok: bool, msg: impl Into<String>) -> bool {
+        if !ok {
+            self.fail(msg);
+        }
+        ok
+    }
+
     /// Budget violations recorded so far.
     pub fn failures(&self) -> &[String] {
         &self.failures
@@ -357,11 +354,96 @@ impl Report {
     }
 }
 
-/// The canonical [`PipelineStats`] → JSON field mapping. Every
+/// A fixed-width text table whose columns are declared once, as
+/// `header:width` (right-aligned) or `header:<width` (left-aligned)
+/// separated by `|`. [`Table::new`] prints the header line; each
+/// [`Table::row`] pads its cells to the same widths.
+pub struct Table {
+    cols: Vec<(String, usize, bool)>,
+}
+
+impl Table {
+    /// Parses `spec` and prints the header line.
+    pub fn new(spec: &str) -> Table {
+        let cols = spec
+            .split('|')
+            .map(|col| {
+                let (header, width) = col.rsplit_once(':').expect("column spec is header:width");
+                let (left, width) = match width.strip_prefix('<') {
+                    Some(w) => (true, w),
+                    None => (false, width),
+                };
+                (header.to_owned(), width.parse().expect("column width is a number"), left)
+            })
+            .collect();
+        let table = Table { cols };
+        let headers: Vec<&dyn Display> = table.cols.iter().map(|c| &c.0 as &dyn Display).collect();
+        table.row(&headers);
+        table
+    }
+
+    /// Prints one row, padding each cell to its column's width. Format
+    /// floats and durations into strings first: only the width comes
+    /// from the column spec.
+    pub fn row(&self, cells: &[&dyn Display]) {
+        let padded: Vec<String> = self
+            .cols
+            .iter()
+            .zip(cells)
+            .map(|(&(_, w, left), c)| if left { format!("{c:<w$}") } else { format!("{c:>w$}") })
+            .collect();
+        println!("{}", padded.join(" "));
+    }
+}
+
+/// One pipeline run of a [`thread_sweep`].
+pub struct SweepRun {
+    /// Pipeline worker threads.
+    pub threads: usize,
+    /// Wall-clock time of the pipeline run.
+    pub wall: Duration,
+    /// The run's statistics.
+    pub stats: FmsaStats,
+    /// The optimized module.
+    pub module: Module,
+    /// Whether the printed module equals the reference text.
+    pub identical: bool,
+}
+
+/// Runs the merge pipeline over a fresh clone of `base` at each thread
+/// count in `threads`, timing each run and comparing its printed output
+/// with `reference(threads)`, or with the first run's output where that
+/// is `None`. This is the bit-identity check every `experiments` thread
+/// sweep gates on.
+pub fn thread_sweep<'r>(
+    base: &Module,
+    cfg: &Config,
+    threads: &[usize],
+    reference: impl Fn(usize) -> Option<&'r str>,
+) -> Vec<SweepRun> {
+    let mut first: Option<String> = None;
+    threads
+        .iter()
+        .map(|&threads| {
+            let mut module = base.clone();
+            let t0 = Instant::now();
+            let stats = run_fmsa_pipeline(&mut module, &cfg.clone().parallel(threads));
+            let wall = t0.elapsed();
+            let text = print_module(&module);
+            let identical = match reference(threads) {
+                Some(r) => text == r,
+                None => *first.get_or_insert_with(|| text.clone()) == text,
+            };
+            SweepRun { threads, wall, stats, module, identical }
+        })
+        .collect()
+}
+
+/// The canonical [`PipelineStats`] → JSON field mapping. Every JSON
 /// serializer of pipeline counters (`experiments merge-parallel
-/// --json`, `experiments scale --json`, `fmsa_opt --stats`) goes
-/// through this one function, so a counter added to
-/// [`PipelineStats::fields`] can never drift out of any output.
+/// --json`, `experiments scale --json`) goes through this one function
+/// and `fmsa_opt --stats` through [`pipeline_stats_text`], so a counter
+/// added to [`PipelineStats::fields`] can never drift out of any output.
 pub fn pipeline_json_fields(p: &PipelineStats) -> Vec<(&'static str, Json)> {
     p.fields()
         .into_iter()
@@ -442,6 +524,22 @@ mod tests {
         // Oracle at least matches the greedy threshold runs.
         let oracle = r.oracle.expect("oracle requested and small enough");
         assert!(oracle.reduction >= fmsa10.reduction - 1e-6);
+    }
+
+    #[test]
+    fn thread_sweep_flags_exactly_the_run_that_differs() {
+        use fmsa_workloads::{clone_swarm_module, SwarmConfig};
+        let base = clone_swarm_module(&SwarmConfig::with_functions(60));
+        let cfg = Config::new().threshold(5);
+        let runs = thread_sweep(&base, &cfg, &[1, 2], |_| None);
+        assert!(runs.iter().all(|r| r.identical), "first-run reference matches every run");
+        assert!(runs[0].stats.merges > 0);
+        let good = print_module(&runs[0].module);
+        let runs = thread_sweep(&base, &cfg, &[1, 2, 4], |t| {
+            Some(if t == 2 { "stale reference" } else { good.as_str() })
+        });
+        let flags: Vec<(usize, bool)> = runs.iter().map(|r| (r.threads, r.identical)).collect();
+        assert_eq!(flags, vec![(1, true), (2, false), (4, true)]);
     }
 
     #[test]

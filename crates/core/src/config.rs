@@ -25,9 +25,8 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The configuration of a merge run: what to merge and how (the
-/// paper's exploration parameters), how to parallelize it, and the
-/// policy knobs the daemon needs ([`Config::identical_prepass`],
-/// [`Config::fail_on_quarantine`]).
+/// paper's exploration parameters), how to parallelize it, and whether
+/// to run the identical-merging prepass ([`Config::identical_prepass`]).
 ///
 /// `#[non_exhaustive]` so fields can be added without a breaking change;
 /// construct it with [`Config::new`] (or `Config::default()`) and the
@@ -80,9 +79,6 @@ pub struct Config {
     /// `fmsa_opt --technique fmsa` has always done, and what the paper's
     /// evaluation assumes. Disable to measure FMSA in isolation.
     pub identical_prepass: bool,
-    /// Treat a run that quarantined any pair as an error
-    /// ([`Error::Quarantined`]) instead of a successful degraded run.
-    pub fail_on_quarantine: bool,
 }
 
 impl Default for Config {
@@ -100,7 +96,6 @@ impl Default for Config {
             threads: 1,
             faults: FaultPlan::disabled(),
             identical_prepass: true,
-            fail_on_quarantine: false,
         }
     }
 }
@@ -196,12 +191,6 @@ impl Config {
         self.identical_prepass = on;
         self
     }
-
-    /// Treat quarantined pairs as a hard error.
-    pub fn fail_on_quarantine(mut self, on: bool) -> Config {
-        self.fail_on_quarantine = on;
-        self
-    }
 }
 
 /// Runs the full merge stack over `module` under `cfg`: input
@@ -237,12 +226,6 @@ pub fn optimize(module: &mut Module, cfg: &Config) -> Result<FmsaStats, Error> {
     let errs = fmsa_ir::verify_module(module);
     if let Some(e) = errs.first() {
         return Err(Error::verify(true, &e.func, e.to_string()));
-    }
-    if cfg.fail_on_quarantine && !stats.quarantine.is_empty() {
-        return Err(Error::Quarantined {
-            pairs: stats.quarantine.len(),
-            summary: stats.quarantine.summary(),
-        });
     }
     Ok(stats)
 }

@@ -228,20 +228,6 @@ impl PipelineStats {
             ("panics_caught", Count(self.panics_caught as u64)),
         ]
     }
-
-    /// Mirrors [`PipelineStats::fields`] into `registry` as gauges named
-    /// `fmsa_pipeline_<field>` (timers in seconds) — how the daemon's
-    /// `/metrics` absorbs pipeline counters.
-    pub fn record_into(&self, registry: &crate::telemetry::Registry) {
-        for (name, value) in self.fields() {
-            let full = format!("fmsa_pipeline_{name}");
-            let g = registry.gauge_with(&full, "pipeline counter (see PipelineStats)", &[]);
-            match value {
-                StatValue::Count(v) => g.set(v as f64),
-                StatValue::Secs(v) => g.set(v),
-            }
-        }
-    }
 }
 
 /// One value of [`PipelineStats::fields`].

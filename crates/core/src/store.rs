@@ -192,10 +192,8 @@ pub struct StoreOptions {
     pub fsync: FsyncPolicy,
     /// Deterministic I/O fault injection plan (store sites only).
     pub faults: FaultPlan,
-    /// Whether ingest triggers compaction when the dead-bytes ratio
-    /// crosses `compact_dead_ratio`.
-    pub auto_compact: bool,
-    /// Dead-bytes fraction of the log that triggers auto-compaction.
+    /// Dead-bytes fraction of the log at which an ingest triggers
+    /// compaction.
     pub compact_dead_ratio: f64,
     /// Minimum log size before auto-compaction considers firing.
     pub compact_min_bytes: u64,
@@ -206,7 +204,6 @@ impl Default for StoreOptions {
         StoreOptions {
             fsync: FsyncPolicy::PerIngest,
             faults: FaultPlan::disabled(),
-            auto_compact: true,
             compact_dead_ratio: 0.5,
             compact_min_bytes: 16 * 1024,
         }
@@ -568,13 +565,6 @@ impl FunctionStore {
         Ok(stats)
     }
 
-    /// Records `n` hits without re-hashing anything — used by the
-    /// session's whole-response cache, where a byte-identical re-upload
-    /// is known to consist entirely of stored functions.
-    pub fn note_replayed_hits(&mut self, n: u64) {
-        self.hits += n;
-    }
-
     /// Durably bumps `seen` for already-stored entries — the
     /// response-cache replay path, whose uploads never reach
     /// [`FunctionStore::ingest_module`] and previously left repeat
@@ -768,8 +758,7 @@ impl FunctionStore {
     }
 
     fn maybe_auto_compact(&mut self) {
-        if self.opts.auto_compact
-            && self.dir.is_some()
+        if self.dir.is_some()
             && self.total_bytes >= self.opts.compact_min_bytes
             && self.dead_ratio() >= self.opts.compact_dead_ratio
             && self.compact().is_err()

@@ -13,8 +13,7 @@
 //!   (`fmsa_opt --trace-out trace.json`).
 //! - [`metrics`] — a named registry of counters, gauges, and
 //!   log-bucketed histograms with one snapshot API rendered as
-//!   Prometheus text exposition (`GET /metrics` on `fmsa-serve`) or
-//!   JSON.
+//!   Prometheus text exposition (`GET /metrics` on `fmsa-serve`).
 //! - [`decisions`] — a bounded structured record per merge attempt
 //!   (pair names, similarity, alignment score, Δ, outcome), dumpable
 //!   as JSON lines (`--explain-merges`) and queryable on the daemon

@@ -57,12 +57,6 @@ pub fn demote_phis(module: &mut Module, func: FuncId) -> usize {
     phis.len()
 }
 
-/// Demotes φ-nodes in every function of the module. Returns the total
-/// number demoted.
-pub fn demote_phis_module(module: &mut Module) -> usize {
-    module.func_ids().into_iter().map(|f| demote_phis(module, f)).sum()
-}
-
 /// Removes blocks unreachable from the entry. Returns how many were
 /// removed.
 pub fn remove_unreachable_blocks(func: &mut Function) -> usize {
@@ -289,17 +283,6 @@ pub fn canonicalize_block_order(func: &mut Function) -> usize {
 /// Runs [`canonicalize_block_order`] on every function of the module.
 pub fn canonicalize_module(module: &mut Module) -> usize {
     module.func_ids().into_iter().map(|f| canonicalize_block_order(module.func_mut(f))).sum()
-}
-
-/// Runs [`remove_unreachable_blocks`] then [`dce`] on every function.
-pub fn cleanup_module(module: &mut Module) {
-    for id in module.func_ids() {
-        let f = module.func_mut(id);
-        if !f.is_declaration() {
-            remove_unreachable_blocks(f);
-            dce(f);
-        }
-    }
 }
 
 #[cfg(test)]
